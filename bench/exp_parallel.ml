@@ -364,18 +364,20 @@ let netpool_curve (ctx : Context.t) machine jobs =
 (* A deliberately skewed batch: one heavy program measured under many
    configurations — placement ignores configuration, so every heavy
    job lands on the same slot — plus light programs that spread over
-   the rest of the pool. Under the static one-frame-per-slot barrier
-   the batch completes at the heavy slot's pace while its siblings
-   idle after their light shards; the dynamic scheduler drains the
-   heavy slot's chunks onto those idle siblings and must at least
-   match static (and beat it whenever the pool genuinely fans out).
+   the rest of the pool. Under [Shard_exec.barrier_policy] (one frame
+   per slot) the batch completes at the heavy slot's pace while its
+   siblings idle after their light shards; chunked work-conserving
+   dispatch drains the heavy slot's chunks onto those idle siblings and
+   must at least match the barrier (and beat it whenever the pool
+   genuinely fans out).
    The pool is the tentpole topology — 2 subprocess workers plus 1
    loopback TCP worker — each restricted to a single domain so the
    skew is carried by the scheduling layer, not washed out by
    intra-worker parallelism; period skipping is off so the heavy jobs
    genuinely cost what their loop size says. *)
 let sched_skew_curve (ctx : Context.t) =
-  Context.section "Scheduling skew — static barrier vs dynamic scheduler";
+  Context.section
+    "Scheduling skew — barrier policy vs work-conserving dispatch";
   let arch = ctx.Context.arch in
   let synth name size =
     let ins = Arch.find_instruction arch "fadd" in
@@ -414,19 +416,18 @@ let sched_skew_curve (ctx : Context.t) =
   let machine = Machine.create ~cache:false ~replay:false arch.Arch.uarch in
   (* a widened dense window makes each heavy job cost tens of
      milliseconds, so the skew dominates per-chunk framing overhead
-     and the static-vs-dynamic gap measures scheduling, not Marshal *)
+     and the barrier-vs-chunked gap measures scheduling, not Marshal *)
   let measure = 24 in
   let reference =
     Machine.run_batch ~measure ~period:false ~procs:0 machine jobs
   in
-  (* speculation off for the timed laps: the section times
+  (* the default policy with speculation off: the section times
      work-conserving dispatch, and tail re-dispatch would leave
      duplicate frames to drain at batch end — timer noise, and covered
      by its own test *)
-  let speculate0 =
-    match Sys.getenv_opt "MP_SPECULATE" with Some s -> s | None -> ""
+  let conserving =
+    { Shard_exec.default_policy with speculate = Shard_exec.Spec_off }
   in
-  Unix.putenv "MP_SPECULATE" "off";
   let port = free_port () in
   let pid =
     Shard_exec.spawn_worker ~env:[ ("MP_POOL_SIZE", "1") ] ~port ()
@@ -436,7 +437,6 @@ let sched_skew_curve (ctx : Context.t) =
   let t_static, t_dynamic =
     Fun.protect
       ~finally:(fun () ->
-        Unix.putenv "MP_SPECULATE" speculate0;
         (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
         ignore (Unix.waitpid [] pid))
       (fun () ->
@@ -449,27 +449,27 @@ let sched_skew_curve (ctx : Context.t) =
         Fun.protect
           ~finally:(fun () -> Shard_exec.shutdown_pool sp)
           (fun () ->
-            let lap sched =
+            let lap policy =
               let t0 = Unix.gettimeofday () in
               let r =
                 Machine.run_batch ~measure ~period:false ~shard_pool:sp
-                  ~shard_sched:sched machine jobs
+                  ~shard_policy:policy machine jobs
               in
               (r, Unix.gettimeofday () -. t0)
             in
             (* prime lap: spawns/connects the workers and warms their
                machines outside the timed windows *)
-            let prime, _ = lap Shard_exec.Static in
-            let r_static, t_static = lap Shard_exec.Static in
-            let r_dynamic, t_dynamic = lap Shard_exec.Dynamic in
+            let prime, _ = lap Shard_exec.barrier_policy in
+            let r_static, t_static = lap Shard_exec.barrier_policy in
+            let r_dynamic, t_dynamic = lap conserving in
             if
               compare reference prime <> 0
               || compare reference r_static <> 0
               || compare reference r_dynamic <> 0
             then
               failwith
-                "sched skew: static/dynamic results diverge from in-process \
-                 execution";
+                "sched skew: barrier/work-conserving results diverge from \
+                 in-process execution";
             (t_static, t_dynamic)))
   in
   let recovered = Machine.jobs_recovered () - rec0 in
@@ -492,7 +492,7 @@ let sched_skew_curve (ctx : Context.t) =
   Context.record_metric ctx "sched_skew_jobs_recovered_delta"
     (float_of_int recovered);
   Context.log
-    "static %.2fs, dynamic %.2fs -> %.2fx; %d jobs recovered;\n\
+    "barrier %.2fs, work-conserving %.2fs -> %.2fx; %d jobs recovered;\n\
      all laps bit-identical to in-process execution"
     t_static t_dynamic speedup recovered;
   (* CI gate: on a pool that genuinely fanned out over an injected
@@ -506,8 +506,8 @@ let sched_skew_curve (ctx : Context.t) =
   if fanned && speedup < 1.0 then
     failwith
       (Printf.sprintf
-         "sched skew: dynamic only %.2fx vs static barrier (floor 1.0x, \
-          fanned out)"
+         "sched skew: work-conserving only %.2fx vs barrier policy \
+          (floor 1.0x, fanned out)"
          speedup);
   if not fanned then
     Context.log "speedup gate skipped (%s)"

@@ -193,9 +193,9 @@ let () =
     Context.record_metric ctx "pool_serial_fallbacks"
       (float_of_int (Mp_util.Parallel.serial_fallbacks ctx.Context.pool));
     Context.record_metric ctx "pool_min_jobs_per_core"
-      (Mp_util.Parallel.env_min_jobs_per_core ());
+      Mp_util.Parallel.default_min_jobs_per_core;
     (* cumulative time deriving cache keys: with structural hashing
-       this should stay in the noise; MP_KEY=marshal makes it visible *)
+       this should stay in the noise *)
     Context.record_metric ctx "key_digest_seconds"
       (Microprobe.Measurement_cache.key_seconds ());
     (* process-level sharding telemetry: the MP_PROCS knob as resolved,
@@ -228,7 +228,8 @@ let () =
       (float_of_int (Microprobe.Shard_exec.global_remote_size ()));
     (* dynamic shard scheduling: duplicate chunk copies dispatched to
        idle slots, and completions discarded because a sibling's copy
-       won (both zero under MP_SHARD_SCHED=static or MP_SPECULATE=off) *)
+       won (both zero under a policy with speculation off, such as
+       Shard_exec.barrier_policy) *)
     Context.record_metric ctx "chunks_speculated"
       (float_of_int (Microprobe.Shard_exec.chunks_speculated ()));
     Context.record_metric ctx "chunks_cancelled"

@@ -164,15 +164,17 @@ let cycles_skipped_ctr = Atomic.make 0
 let period_hits () = Atomic.get period_hits_ctr
 let cycles_skipped () = Atomic.get cycles_skipped_ctr
 
-let env_period =
-  lazy
-    (match Sys.getenv_opt "MP_PERIOD" with
-     | Some v ->
-       not
-         (List.mem
-            (String.lowercase_ascii (String.trim v))
-            [ "off"; "0"; "false"; "no" ])
-     | None -> true)
+(* read per call, like [Measurement_cache.cache_enabled]: a top-level
+   [lazy] raises when pool domains force it concurrently, and a caller
+   may set MP_PERIOD before its first run *)
+let env_period () =
+  match Sys.getenv_opt "MP_PERIOD" with
+  | Some v ->
+    not
+      (List.mem
+         (String.lowercase_ascii (String.trim v))
+         [ "off"; "0"; "false"; "no" ])
+  | None -> true
 
 type pending = {
   mutable di : int;      (* body index *)
@@ -296,7 +298,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   (* Period skipping pays for its fingerprints only when there are
      enough measured iterations to elide; short windows run dense. *)
   let period_on =
-    (match period with Some b -> b | None -> Lazy.force env_period)
+    (match period with Some b -> b | None -> env_period ())
     && measure >= 4
   in
   let cache = Cache_sim.create uarch in

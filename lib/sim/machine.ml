@@ -207,22 +207,24 @@ let measurement_of t config name rng (activity : Core_sim.activity) =
     power_trace = reading.Power_sim.trace;
   }
 
+(* seed-independent jobs drop the seed from the key — their bytes are
+   the same on any machine, so warm disk entries are shared across
+   seeds *)
+let key_seed t per_thread =
+  if Array.for_all seed_independent_program per_thread then None
+  else Some t.seed
+
+let cache_key t ~warmup ~measure config name per_thread =
+  Measurement_cache.key ~uarch:t.uarch_fp ?seed:(key_seed t per_thread)
+    ~config ~warmup ~measure ~name per_thread
+
 let cached t ~warmup ~measure config name per_thread compute =
   match t.cache with
   | None -> compute ()
   | Some cache ->
-    (* seed-independent jobs drop the seed from the key — their bytes
-       are the same on any machine, so warm disk entries are shared
-       across seeds *)
-    let seed =
-      if Array.for_all seed_independent_program per_thread then None
-      else Some t.seed
-    in
-    let key =
-      Measurement_cache.key ~uarch:t.uarch_fp ?seed ~config ~warmup
-        ~measure ~name per_thread
-    in
-    Measurement_cache.find_or_add cache key compute
+    Measurement_cache.find_or_add cache
+      (cache_key t ~warmup ~measure config name per_thread)
+      compute
 
 (* [period] is deliberately absent from the cache key: skipped and
    dense runs are bit-identical, so their cache entries are
@@ -233,6 +235,11 @@ let run ?(warmup = 1) ?(measure = default_measure) ?period t config (p : Ir.t) =
       let rng, activity = simulate ~warmup ~measure ?period t config p in
       measurement_of t config p.Ir.name rng activity)
 
+(* the run label of a per-thread program list: the program name for a
+   single program, names joined by "|" otherwise *)
+let joint_name programs =
+  String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) programs)
+
 let run_heterogeneous ?(warmup = 1) ?(measure = default_measure) ?period t
     (config : Uarch_def.config) programs =
   let n = List.length programs in
@@ -241,10 +248,7 @@ let run_heterogeneous ?(warmup = 1) ?(measure = default_measure) ?period t
       "Machine.run_heterogeneous: one program per hardware thread required";
   List.iter (pre_intern t) programs;
   let per_thread = Array.of_list programs in
-  let name =
-    String.concat "|"
-      (List.map (fun (p : Ir.t) -> p.Ir.name) programs)
-  in
+  let name = joint_name programs in
   cached t ~warmup ~measure config name per_thread (fun () ->
       let rng, activity =
         simulate_many ~warmup ~measure ?period t config name per_thread
@@ -277,36 +281,20 @@ let jobs_recovered () = Atomic.get jobs_recovered_total
    [cached] derives, so later runs and batches hit without resimulating
    what another process already measured. *)
 let cache_insert t ~warmup ~measure config name per_thread m =
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-    let seed =
-      if Array.for_all seed_independent_program per_thread then None
-      else Some t.seed
-    in
-    let key =
-      Measurement_cache.key ~uarch:t.uarch_fp ?seed ~config ~warmup ~measure
-        ~name per_thread
-    in
-    Measurement_cache.add cache key m
+  Option.iter
+    (fun cache ->
+      Measurement_cache.add cache
+        (cache_key t ~warmup ~measure config name per_thread)
+        m)
+    t.cache
 
-(* Chunk sizing for the dynamic shard scheduler, from what Machine
-   knows at dispatch time: the deduplicated job count, the slot count,
-   and the pipeline depth knob. Delegates to the scheduler's own
-   heuristic so callers, tests and the bench harness all agree on the
-   granularity. *)
-let shard_chunk_jobs ~jobs ~slots =
-  Shard_exec.default_chunk_jobs ~jobs ~slots
-    ~inflight:(Shard_exec.env_inflight ())
-
-(* Dispatch already-deduplicated jobs to the worker pool. Under the
-   dynamic scheduler a crashed slot's chunks re-enter the shared queue
-   and finish on surviving slots, so positions come back [None] only
-   when no worker could run them; those are re-run through
-   [in_process] — the coordinator's own domain pool — and
-   [jobs_recovered] counts them. A dying worker degrades to a slower
-   batch, never a failed or wrong one. *)
-let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
+(* Dispatch already-deduplicated jobs to the worker pool. A crashed
+   slot's chunks re-enter the shared queue and finish on surviving
+   slots, so positions come back [None] only when no worker could run
+   them; those are re-run through [in_process] — the coordinator's own
+   domain pool — and [jobs_recovered] counts them. A dying worker
+   degrades to a slower batch, never a failed or wrong one. *)
+let sharded_exec t ~warmup ~measure ?period ?shard_policy ~procs ~hosts
     ~shard_pool ~to_job ~insert ~in_process jobs =
   let sjobs = List.map to_job jobs in
   let slots =
@@ -326,7 +314,7 @@ let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
        outright *)
     Mp_util.Parallel.worthwhile ~size:(max 2 slots) ~jobs:(List.length jobs)
       ~width
-      ~min_jobs_per_core:(Mp_util.Parallel.env_min_jobs_per_core ())
+      ~min_jobs_per_core:Mp_util.Parallel.default_min_jobs_per_core
   in
   let pool =
     if not fan_out then None
@@ -340,11 +328,7 @@ let sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
   | Some p ->
     let res =
       Shard_exec.run_jobs p ~spec:(spec t) ~warmup ~measure ?period
-        ?sched:shard_sched
-        ~chunk_jobs:
-          (shard_chunk_jobs ~jobs:(List.length sjobs)
-             ~slots:(Shard_exec.pool_size p))
-        sjobs
+        ?policy:shard_policy sjobs
     in
     let jobs_arr = Array.of_list jobs in
     let from_worker = Array.map Option.is_some res in
@@ -379,12 +363,8 @@ let batch_dup_collapsed () = Atomic.get batch_dups
    and dense runs are interchangeable), always the structural fold
    since the string never leaves this process *)
 let batch_key t ~warmup ~measure config name per_thread =
-  let seed =
-    if Array.for_all seed_independent_program per_thread then None
-    else Some t.seed
-  in
-  Measurement_cache.key_structural ~uarch:t.uarch_fp ?seed ~config ~warmup
-    ~measure ~name per_thread
+  Measurement_cache.key_structural ~uarch:t.uarch_fp
+    ?seed:(key_seed t per_thread) ~config ~warmup ~measure ~name per_thread
 
 (* Evaluate each distinct key once (first occurrence order, so worker
    scheduling and opcode interning see the same sequence a deduped
@@ -412,9 +392,9 @@ let dedup_map job_key exec jobs =
   let results = Array.of_list (exec (List.rev !uniques)) in
   List.map (fun slot -> results.(slot)) slots
 
-(* procs resolution shared by both batch entry points: explicit arg
-   wins; a caller-supplied pool implies its own size; otherwise the
-   MP_PROCS knob decides (0 = in-process, unchanged behavior). *)
+(* procs resolution for [batch]: explicit arg wins; a caller-supplied
+   pool implies its own size; otherwise the MP_PROCS knob decides
+   (0 = in-process, unchanged behavior). *)
 let resolve_procs procs shard_pool =
   match (procs, shard_pool) with
   | Some n, _ -> max 0 n
@@ -430,87 +410,65 @@ let resolve_hosts hosts shard_pool =
   | None, Some _ -> []
   | None, None -> Shard_exec.env_hosts ()
 
-let run_batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
-    ?hosts ?shard_pool ?shard_sched ?(dedup = true) t jobs =
+(* The one batch path under [run_batch] and [run_heterogeneous_batch]:
+   a job is a configuration plus an ['a] whose per-thread programs
+   [programs] lists and which [run_one] measures in-process. *)
+let batch ~programs ~run_one ~warmup ~measure ?period ?pool ?procs ?hosts
+    ?shard_pool ?shard_policy ?(dedup = true) t jobs =
   (* deterministic id assignment: intern everything in job order —
      duplicates included — before any worker touches the opmap *)
-  List.iter (fun (_, p) -> pre_intern t p) jobs;
+  List.iter (fun (_, x) -> List.iter (pre_intern t) (programs x)) jobs;
   let pool =
     match pool with Some p -> p | None -> Mp_util.Parallel.global ()
   in
   let procs = resolve_procs procs shard_pool in
   let hosts = resolve_hosts hosts shard_pool in
+  let cost (config, x) = job_cost config (programs x) in
   let in_process jobs =
     (* chunked: replay and cache hits make individual jobs tiny, and
        chunking amortises deque traffic over them; auto_chunk leaves
        ~8 chunks per worker so stealing can still rebalance tails *)
-    Mp_util.Parallel.map_chunked
-      ~cost:(fun (config, p) -> job_cost config [ p ])
-      pool
-      (fun (config, p) -> run ~warmup ~measure ?period t config p)
+    Mp_util.Parallel.map_chunked ~cost pool
+      (fun (config, x) -> run_one config x)
       jobs
   in
   let exec jobs =
     if procs <= 0 && hosts = [] then in_process jobs
     else
-      sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
+      sharded_exec t ~warmup ~measure ?period ?shard_policy ~procs ~hosts
         ~shard_pool
-        ~to_job:(fun (config, p) ->
+        ~to_job:(fun (config, x) ->
           {
             Shard_exec.j_config = config;
-            j_programs = [ p ];
-            j_cost = job_cost config [ p ];
+            j_programs = programs x;
+            j_cost = cost (config, x);
           })
-        ~insert:(fun (config, (p : Ir.t)) m ->
-          cache_insert t ~warmup ~measure config p.Ir.name [| p |] m)
+        ~insert:(fun (config, x) m ->
+          cache_insert t ~warmup ~measure config (joint_name (programs x))
+            (Array.of_list (programs x)) m)
         ~in_process jobs
   in
   if dedup then
     dedup_map
-      (fun (config, (p : Ir.t)) ->
-        batch_key t ~warmup ~measure config p.Ir.name [| p |])
+      (fun (config, x) ->
+        batch_key t ~warmup ~measure config (joint_name (programs x))
+          (Array.of_list (programs x)))
       exec jobs
   else exec jobs
 
+let run_batch ?(warmup = 1) ?(measure = default_measure) ?period ?pool ?procs
+    ?hosts ?shard_pool ?shard_policy ?dedup t jobs =
+  batch ~warmup ~measure ?period ?pool ?procs ?hosts ?shard_pool ?shard_policy
+    ?dedup t jobs
+    ~programs:(fun p -> [ p ])
+    ~run_one:(fun config p -> run ~warmup ~measure ?period t config p)
+
 let run_heterogeneous_batch ?(warmup = 1) ?(measure = default_measure) ?period
-    ?pool ?procs ?hosts ?shard_pool ?shard_sched ?(dedup = true) t jobs =
-  List.iter (fun (_, ps) -> List.iter (pre_intern t) ps) jobs;
-  let pool =
-    match pool with Some p -> p | None -> Mp_util.Parallel.global ()
-  in
-  let procs = resolve_procs procs shard_pool in
-  let hosts = resolve_hosts hosts shard_pool in
-  let in_process jobs =
-    Mp_util.Parallel.map_chunked
-      ~cost:(fun (config, ps) -> job_cost config ps)
-      pool
-      (fun (config, ps) ->
-        run_heterogeneous ~warmup ~measure ?period t config ps)
-      jobs
-  in
-  let exec jobs =
-    if procs <= 0 && hosts = [] then in_process jobs
-    else
-      sharded_exec t ~warmup ~measure ?period ?shard_sched ~procs ~hosts
-        ~shard_pool
-        ~to_job:(fun (config, ps) ->
-          { Shard_exec.j_config = config; j_programs = ps; j_cost = job_cost config ps })
-        ~insert:(fun (config, ps) m ->
-          let name =
-            String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) ps)
-          in
-          cache_insert t ~warmup ~measure config name (Array.of_list ps) m)
-        ~in_process jobs
-  in
-  if dedup then
-    dedup_map
-      (fun (config, ps) ->
-        let name =
-          String.concat "|" (List.map (fun (p : Ir.t) -> p.Ir.name) ps)
-        in
-        batch_key t ~warmup ~measure config name (Array.of_list ps))
-      exec jobs
-  else exec jobs
+    ?pool ?procs ?hosts ?shard_pool ?shard_policy ?dedup t jobs =
+  batch ~warmup ~measure ?period ?pool ?procs ?hosts ?shard_pool ?shard_policy
+    ?dedup t jobs ~programs:Fun.id
+    ~run_one:(fun config ps ->
+      run_heterogeneous ~warmup ~measure ?period t config ps)
 
 let run_phases ?pool t config phases =
   match phases with

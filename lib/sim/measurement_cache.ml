@@ -18,14 +18,26 @@ type disk = { dir : string; namespace : string }
 
 (* Fingerprint of the running build: entries are only valid for the
    binary that produced them, because any change to the simulator or
-   the energy table changes what a key's measurement should be. *)
-let binary_stamp =
-  lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with _ -> Digest.to_hex (Digest.string Sys.executable_name))
+   the energy table changes what a key's measurement should be.
+   Computed on first use — not at module init, which would digest the
+   executable in every process — and memoized in an [Atomic] rather
+   than a [lazy]: pool domains can reach it together, and a racing
+   duplicate digest is harmless where a concurrent [Lazy.force]
+   raises. *)
+let binary_stamp_memo = Atomic.make None
 
-let namespace () =
-  Printf.sprintf "v%d-%s" schema_version (Lazy.force binary_stamp)
+let binary_stamp () =
+  match Atomic.get binary_stamp_memo with
+  | Some s -> s
+  | None ->
+    let s =
+      try Digest.to_hex (Digest.file Sys.executable_name)
+      with _ -> Digest.to_hex (Digest.string Sys.executable_name)
+    in
+    Atomic.set binary_stamp_memo (Some s);
+    s
+
+let namespace () = Printf.sprintf "v%d-%s" schema_version (binary_stamp ())
 
 let cache_enabled () =
   match Sys.getenv_opt "MP_CACHE" with
@@ -453,9 +465,9 @@ let uarch_fingerprint (u : Uarch_def.t) =
   Digest.to_hex (Digest.string (Marshal.to_string data []))
 
 (* The original key derivation: serialise everything into a buffer and
-   MD5 it. Kept as the reference implementation — [MP_KEY=marshal]
-   switches back to it, and the tests assert that the structural path
-   below induces the same hit/miss equivalence classes. *)
+   MD5 it. Kept as the reference implementation — the tests assert that
+   the structural fold below induces the same hit/miss equivalence
+   classes. *)
 let key_marshal ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
     ~measure ~name per_thread =
   let buf = Buffer.create 4096 in
@@ -496,15 +508,6 @@ let key_structural ?(uarch = "") ?seed ~(config : Uarch_def.config) ~warmup
   in
   F.to_hex (F.finish h)
 
-(* MP_KEY=marshal re-enables the serialising derivation (debug escape
-   hatch for bisecting cache anomalies); anything else — including
-   unset — uses the structural fold. *)
-let use_marshal_key =
-  lazy
-    (match Sys.getenv_opt "MP_KEY" with
-     | Some v -> String.lowercase_ascii (String.trim v) = "marshal"
-     | None -> false)
-
 (* cumulative wall time spent deriving keys, for the bench harness *)
 let key_ns = Atomic.make 0
 
@@ -512,11 +515,7 @@ let key_seconds () = float_of_int (Atomic.get key_ns) *. 1e-9
 
 let key ?uarch ?seed ~config ~warmup ~measure ~name per_thread =
   let t0 = Unix.gettimeofday () in
-  let k =
-    if Lazy.force use_marshal_key then
-      key_marshal ?uarch ?seed ~config ~warmup ~measure ~name per_thread
-    else key_structural ?uarch ?seed ~config ~warmup ~measure ~name per_thread
-  in
+  let k = key_structural ?uarch ?seed ~config ~warmup ~measure ~name per_thread in
   let dt = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   ignore (Atomic.fetch_and_add key_ns (max 0 dt));
   k

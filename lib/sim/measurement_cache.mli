@@ -143,13 +143,9 @@ val key :
     the same on every machine, so the shared key lets warm disk caches
     serve all seeds.
 
-    By default this is {!key_structural} — an O(1)-per-program fold of
-    the precomputed {!Mp_codegen.Ir.struct_hash} fields. Setting
-    [MP_KEY=marshal] in the environment switches to {!key_marshal}, the
-    original serialise-and-MD5 derivation, as a debug escape hatch; the
-    two induce identical hit/miss equivalence classes but produce
-    different key strings (so a disk cache written under one derivation
-    is cold under the other). *)
+    This is {!key_structural} — an O(1)-per-program fold of the
+    precomputed {!Mp_codegen.Ir.struct_hash} fields — timed into
+    {!key_seconds}. *)
 
 val key_structural :
   ?uarch:string ->
@@ -173,8 +169,9 @@ val key_marshal :
   Mp_codegen.Ir.t array ->
   string
 (** The reference derivation: serialise every program field into a
-    buffer and MD5 it. 32 hex characters. Exposed for the equivalence
-    tests and the [MP_KEY=marshal] escape hatch. *)
+    buffer and MD5 it. 32 hex characters. It induces the same hit/miss
+    equivalence classes as {!key_structural}; exposed as the oracle the
+    equivalence tests check that against. *)
 
 val key_seconds : unit -> float
 (** Cumulative wall-clock seconds this process has spent inside {!key}

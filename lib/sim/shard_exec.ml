@@ -121,51 +121,31 @@ let env_hosts () =
   else
     match Sys.getenv_opt "MP_HOSTS" with None -> [] | Some s -> parse_hosts s
 
-(* MP_SHARD_SCHED: how a batch is spread over the pool. [Dynamic] (the
-   default) splits each shard into chunks and dispatches them
-   work-conservingly — fast slots drain work slow slots haven't
-   started; [Static] is the original one-frame-per-slot barrier, kept
-   as a fallback and as the baseline the scheduling bench compares
-   against. *)
-type sched = Static | Dynamic
+(* ----- scheduling policy ------------------------------------------------ *)
 
-let env_sched () =
-  match Sys.getenv_opt "MP_SHARD_SCHED" with
-  | Some s when String.lowercase_ascii (String.trim s) = "static" -> Static
-  | _ -> Dynamic
-
-(* MP_INFLIGHT: chunk frames kept in flight per slot under the dynamic
-   scheduler. Workers serve strictly one request at a time, so a second
-   outstanding frame sits in the pipe/socket buffer — its transfer and
-   decode overlap the previous chunk's compute. 1 disables pipelining. *)
-let default_inflight = 2
-
-let env_inflight () =
-  match Sys.getenv_opt "MP_INFLIGHT" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> min n 64
-     | _ -> default_inflight)
-  | None -> default_inflight
-
-(* MP_SPECULATE: what an idle slot does once the queue is empty but
-   chunks are still outstanding elsewhere. [Spec_on] (default)
-   re-dispatches the oldest outstanding chunk to the idle slot and the
-   first response wins — a straggler or silently-dead peer no longer
-   gates the batch. [Spec_off] disables tail re-dispatch. [Spec_force]
-   is a test hook: duplicate eagerly whenever a slot merely has spare
-   capacity, guaranteeing duplicate completions so the first-result-wins
-   merge path is exercised deterministically. *)
+(* What an idle slot does once the queue is empty but chunks are still
+   outstanding elsewhere. [Spec_on] re-dispatches the oldest
+   outstanding chunk to the idle slot and the first response wins — a
+   straggler or silently-dead peer no longer gates the batch.
+   [Spec_off] disables tail re-dispatch. [Spec_force] is a test hook:
+   duplicate eagerly whenever a slot merely has spare capacity,
+   guaranteeing duplicate completions so the first-result-wins merge
+   path is exercised deterministically. *)
 type speculate = Spec_off | Spec_on | Spec_force
 
-let env_speculate () =
-  match Sys.getenv_opt "MP_SPECULATE" with
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "off" | "0" | "false" -> Spec_off
-    | "force" -> Spec_force
-    | _ -> Spec_on)
-  | None -> Spec_on
+(* How a batch is spread over the pool. [inflight] frames stay
+   outstanding per slot: workers serve strictly one request at a time,
+   so a second frame sits in the pipe/socket buffer and its transfer
+   and decode overlap the previous chunk's compute. *)
+type policy = { chunk_jobs : int option; inflight : int; speculate : speculate }
+
+let default_policy = { chunk_jobs = None; inflight = 2; speculate = Spec_on }
+
+(* one chunk per slot, one frame in flight, no duplicates: every
+   non-empty bucket travels as a single request and the batch takes as
+   long as its slowest shard *)
+let barrier_policy =
+  { chunk_jobs = Some max_int; inflight = 1; speculate = Spec_off }
 
 (* ----- per-slot telemetry ------------------------------------------------- *)
 
@@ -556,74 +536,11 @@ let shutdown_pool p =
 
 (* One sharded dispatch at a time per coordinator: each slot's
    pipe/socket carries one request/response conversation (a window of
-   pipelined frames under the dynamic scheduler), so interleaving two
-   batches over the same pool would cross their frames. *)
+   pipelined frames), so interleaving two batches over the same pool
+   would cross their frames. *)
 let dispatch_lock = Mutex.create ()
 
-(* ----- static scheduler --------------------------------------------------- *)
-
-(* The original one-frame-per-slot barrier: each shard travels as a
-   single request, every shard is sent before any response is read, and
-   the batch takes as long as its slowest shard. Kept as the
-   MP_SHARD_SCHED=static fallback and as the baseline the scheduling
-   bench compares against. *)
-let run_static p ~spec ~warmup ~measure ~period jobs results =
-  let shards = pool_size p in
-  let buckets = Array.make shards [] in
-  Array.iteri
-    (fun i j ->
-      let s = shard_index ~shards j.j_programs in
-      buckets.(s) <- i :: buckets.(s))
-    jobs;
-  let buckets = Array.map (fun l -> Array.of_list (List.rev l)) buckets in
-  let ns = Measurement_cache.namespace () in
-  (* send every shard first, then collect: workers compute their
-     shards concurrently while the coordinator waits on the first *)
-  let in_flight = Array.make shards false in
-  Array.iteri
-    (fun s bucket ->
-      if Array.length bucket > 0 then begin
-        let rq =
-          {
-            rq_ns = ns;
-            rq_chunk = s;
-            rq_warmup = warmup;
-            rq_measure = measure;
-            rq_period = period;
-            rq_spec = spec;
-            rq_jobs = Array.map (fun i -> jobs.(i)) bucket;
-          }
-        in
-        match Marshal.to_bytes rq [ Marshal.Closures ] with
-        | exception _ -> () (* unmarshalable spec: caller recovers *)
-        | payload ->
-          in_flight.(s) <-
-            Mp_util.Transport.send ~timeout_s:p.timeout_s (slot_endpoint p s)
-              payload
-      end)
-    buckets;
-  Array.iteri
-    (fun s bucket ->
-      if in_flight.(s) then begin
-        let ep = slot_endpoint p s in
-        match Mp_util.Transport.recv ~timeout_s:p.timeout_s ep with
-        | None -> () (* crash/timeout: slot reaped, jobs recovered *)
-        | Some payload ->
-          (match (Marshal.from_bytes payload 0 : response) with
-           | exception _ -> Mp_util.Transport.reap ep
-           | rs ->
-             if rs.rs_ns <> ns then Mp_util.Transport.reap ep
-             else (
-               match rs.rs_results with
-               | Error _ -> () (* worker-reported failure *)
-               | Ok arr ->
-                 if Array.length arr = Array.length bucket then
-                   Array.iteri (fun k i -> results.(i) <- Some arr.(k)) bucket
-                 else Mp_util.Transport.reap ep))
-      end)
-    buckets
-
-(* ----- dynamic scheduler -------------------------------------------------- *)
+(* ----- scheduler ---------------------------------------------------------- *)
 
 (* Aim for enough chunks that every slot refills its pipeline window a
    few times over — that is what lets fast slots drain a skewed shard —
@@ -663,7 +580,7 @@ type slot_acc = {
    first response wins — a straggling or silently-dead slot no longer
    gates the batch. Results are scattered by the chunk's own job
    indices, so placement never affects what the caller sees. *)
-let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
+let schedule p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
     ~speculate jobs results =
   let slots = pool_size p in
   let ns = Measurement_cache.namespace () in
@@ -802,15 +719,17 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
       pending;
     if !best >= 0 then Some pending.(!best) else None
   in
-  let rec next_work s =
+  let rec next_work ~own_only s =
     let popped =
       if not (Queue.is_empty pending.(s)) then Some (Queue.pop pending.(s))
+      else if own_only then None
       else if not (Queue.is_empty requeue) then Some (Queue.pop requeue)
       else
         match steal_victim s with Some q -> Some (Queue.pop q) | None -> None
     in
     match popped with
-    | Some c when c.c_state <> C_live -> next_work s (* defensive skip *)
+    | Some c when c.c_state <> C_live ->
+      next_work ~own_only s (* defensive skip *)
     | x -> x
   in
   (* the oldest still-outstanding chunk not already running here, one
@@ -879,42 +798,49 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
                  if c.c_copies = 0 then Queue.push c requeue;
                  fail_slot s)))
   in
+  (* keep slot [s]'s window full. The first frame may block on a full
+     pipe; refills are gated on a zero-timeout writability probe so one
+     slot's full buffer never wedges the whole loop. [own_only] limits
+     the slot to its own queue: no requeue, steal or speculation. *)
+  let rec fill ~own_only s =
+    if live.(s) && List.length inflightq.(s) < inflight then begin
+      let can_send = inflightq.(s) = [] || Mp_util.Transport.writable ep.(s) in
+      if can_send then (
+        match next_work ~own_only s with
+        | Some c -> (
+          match dispatch s c ~spec_copy:false with
+          | `Sent | `Chunk_failed -> fill ~own_only s
+          | `Slot_dead -> ())
+        | None ->
+          let want_spec =
+            (not own_only)
+            &&
+            match speculate with
+            | Spec_off -> false
+            | Spec_on -> inflightq.(s) = []
+            | Spec_force -> true
+          in
+          if want_spec then (
+            match pick_speculation s with
+            | Some c -> (
+              match dispatch s c ~spec_copy:true with
+              | `Sent -> fill ~own_only s
+              | `Chunk_failed | `Slot_dead -> ())
+            | None -> ()))
+    end
+  in
+  (* initial fill, own queues first: a slot with an empty bucket must
+     not steal a sibling's chunk before that sibling has dispatched its
+     own — under [barrier_policy] every non-empty bucket then travels
+     as exactly one frame to its affinity slot *)
+  for s = 0 to slots - 1 do
+    fill ~own_only:true s
+  done;
   let any_live () = Array.exists Fun.id live in
   let rec loop () =
     if !live_left > 0 && any_live () then begin
-      (* dispatch: keep every live slot's window full. The first frame
-         may block like a static send; refills are gated on a
-         zero-timeout writability probe so one slot's full buffer never
-         wedges the whole loop. *)
       for s = 0 to slots - 1 do
-        let rec fill () =
-          if live.(s) && List.length inflightq.(s) < inflight then begin
-            let can_send =
-              inflightq.(s) = [] || Mp_util.Transport.writable ep.(s)
-            in
-            if can_send then (
-              match next_work s with
-              | Some c -> (
-                match dispatch s c ~spec_copy:false with
-                | `Sent | `Chunk_failed -> fill ()
-                | `Slot_dead -> ())
-              | None ->
-                let want_spec =
-                  match speculate with
-                  | Spec_off -> false
-                  | Spec_on -> inflightq.(s) = []
-                  | Spec_force -> true
-                in
-                if want_spec then (
-                  match pick_speculation s with
-                  | Some c -> (
-                    match dispatch s c ~spec_copy:true with
-                    | `Sent -> fill ()
-                    | `Chunk_failed | `Slot_dead -> ())
-                  | None -> ()))
-          end
-        in
-        fill ()
+        fill ~own_only:false s
       done;
       (* collect: wait for any completion, bounded by the nearest slot
          deadline (a slot that goes silent for timeout_s between frames
@@ -989,32 +915,23 @@ let run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
         })
     stats
 
-let run_jobs p ~spec ~warmup ~measure ?period ?sched ?chunk_jobs ?inflight
-    ?speculate jobs =
+let run_jobs p ~spec ~warmup ~measure ?period ?(policy = default_policy) jobs =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let results = Array.make n None in
   if n > 0 then begin
+    let inflight = max 1 policy.inflight in
+    let chunk_jobs =
+      match policy.chunk_jobs with
+      | Some c -> max 1 c
+      | None -> default_chunk_jobs ~jobs:n ~slots:(pool_size p) ~inflight
+    in
     Mutex.lock dispatch_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock dispatch_lock)
       (fun () ->
-        match (match sched with Some s -> s | None -> env_sched ()) with
-        | Static -> run_static p ~spec ~warmup ~measure ~period jobs results
-        | Dynamic ->
-          let inflight =
-            match inflight with Some i -> max 1 i | None -> env_inflight ()
-          in
-          let chunk_jobs =
-            match chunk_jobs with
-            | Some c -> max 1 c
-            | None -> default_chunk_jobs ~jobs:n ~slots:(pool_size p) ~inflight
-          in
-          let speculate =
-            match speculate with Some s -> s | None -> env_speculate ()
-          in
-          run_dynamic p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
-            ~speculate jobs results)
+        schedule p ~spec ~warmup ~measure ~period ~chunk_jobs ~inflight
+          ~speculate:policy.speculate jobs results)
   end;
   results
 

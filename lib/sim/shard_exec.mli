@@ -108,23 +108,7 @@ val env_hosts : unit -> (string * int) list
 val parse_hosts : string -> (string * int) list
 (** The parser under {!env_hosts}, exposed for the CLI and tests. *)
 
-(** How a batch is spread over the pool (see {!run_jobs}). *)
-type sched = Static | Dynamic
-
-val env_sched : unit -> sched
-(** [MP_SHARD_SCHED] parsed: [static] selects the original
-    one-frame-per-slot barrier; anything else (including unset) selects
-    the work-conserving dynamic scheduler. *)
-
-val default_inflight : int
-(** 2 — one chunk computing, one in the pipe. *)
-
-val env_inflight : unit -> int
-(** [MP_INFLIGHT] parsed: chunk frames kept in flight per slot under
-    the dynamic scheduler, clamped to [1..64] (default
-    {!default_inflight}; [1] disables pipelining). Workers serve one
-    request at a time, so extra frames wait in the transport buffer —
-    their transfer overlaps the previous chunk's compute. *)
+(** {2 Scheduling policy} *)
 
 (** What an idle slot does once the shared queue is empty but chunks
     are still outstanding elsewhere. [Spec_force] is a test hook:
@@ -133,21 +117,39 @@ val env_inflight : unit -> int
     is exercised deterministically. *)
 type speculate = Spec_off | Spec_on | Spec_force
 
-val env_speculate : unit -> speculate
-(** [MP_SPECULATE] parsed: [off]/[0]/[false] → [Spec_off], [force] →
-    [Spec_force], anything else (including unset) → [Spec_on]. *)
+(** How {!run_jobs} spreads a batch over the pool. *)
+type policy = {
+  chunk_jobs : int option;
+      (** jobs per chunk; [None] picks {!default_chunk_jobs} *)
+  inflight : int;
+      (** chunk frames kept outstanding per slot (at least 1). Workers
+          serve one request at a time, so extra frames wait in the
+          transport buffer — their transfer overlaps the previous
+          chunk's compute. *)
+  speculate : speculate;
+}
+
+val default_policy : policy
+(** Heuristic chunking, two frames in flight (one chunk computing, one
+    in the pipe), speculation on. *)
+
+val barrier_policy : policy
+(** One chunk per slot, one frame in flight, no speculation: each
+    slot's {!shard_index} bucket travels as a single request and the
+    batch takes as long as its slowest shard. The baseline the
+    scheduling bench races work-conserving dispatch against. *)
 
 val default_chunk_jobs : jobs:int -> slots:int -> inflight:int -> int
-(** The chunk-size heuristic under the dynamic scheduler: jobs per
-    chunk such that each slot's pipeline window refills about four
-    times over a balanced batch ([jobs / (slots * inflight * 4)], at
-    least 1) — enough granularity for fast slots to drain a skewed
-    shard, coarse enough to amortize framing. *)
+(** The chunk-size heuristic: jobs per chunk such that each slot's
+    pipeline window refills about four times over a balanced batch
+    ([jobs / (slots * inflight * 4)], at least 1) — enough granularity
+    for fast slots to drain a skewed shard, coarse enough to amortize
+    framing. *)
 
 (** {3 Per-slot telemetry}
 
     Cumulative per endpoint label ([proc:N] or [host:port]) over every
-    dynamically-scheduled batch in the process. *)
+    sharded batch in the process. *)
 
 type slot_stat = {
   sl_jobs : int;  (** jobs whose first-accepted result came from here *)
@@ -160,7 +162,7 @@ type slot_stat = {
 }
 
 val slot_stats : unit -> (string * slot_stat) list
-(** Sorted by label. Empty until a dynamic batch has run. *)
+(** Sorted by label. Empty until a sharded batch has run. *)
 
 val reset_slot_stats : unit -> unit
 
@@ -258,39 +260,28 @@ val run_jobs :
   warmup:int ->
   measure:int ->
   ?period:bool ->
-  ?sched:sched ->
-  ?chunk_jobs:int ->
-  ?inflight:int ->
-  ?speculate:speculate ->
+  ?policy:policy ->
   job list ->
   Measurement.t option array
-(** Run the jobs on the pool and scatter results back positionally;
-    every parameter that is not given falls back to its [MP_*] knob.
+(** Run the jobs on the pool and scatter results back positionally,
+    bit-identically to in-process execution.
 
-    Under [Static], each slot's {!shard_index} bucket travels as one
-    request, every shard is sent before any response is read, and the
-    batch takes as long as its slowest shard. A slot lost to a crash,
-    timeout, garbage frame, or namespace mismatch leaves [None] at its
-    bucket's positions.
-
-    Under [Dynamic] (the default), each bucket is split into chunks of
-    [chunk_jobs] ({!default_chunk_jobs} when omitted) that still
-    {e prefer} their affinity slot — warm replay/cache state keeps
-    accruing where placement always put it — but dispatch is
-    work-conserving: every live slot keeps up to [inflight] chunk
-    frames outstanding, completions refill from the slot's own queue,
-    then from re-queued chunks of dead slots, then by stealing from
-    the longest sibling queue. Once queues are dry, idle slots
-    re-dispatch the oldest outstanding chunk ([speculate]) and the
-    first response wins — a straggler or silently-dead slot no longer
-    gates the batch, and a crashed slot's chunks re-enter the queue
-    instead of falling back to the coordinator. [None] positions
-    remain only for chunks no live slot could complete (deterministic
-    executor failure, unmarshalable request, or every slot dead).
-
-    Either way the result is bit-identical to in-process execution,
-    and dispatches are serialized process-wide (one conversation per
-    slot at a time). *)
+    Each slot's {!shard_index} bucket is split into chunks of
+    [policy.chunk_jobs] (default {!default_policy}) that {e prefer}
+    their affinity slot — warm replay/cache state keeps accruing where
+    placement always put it — but dispatch is work-conserving: every
+    slot first sends from its own queue, then every live slot keeps up
+    to [policy.inflight] chunk frames outstanding, and completions
+    refill from the slot's own queue, then from re-queued chunks of
+    dead slots, then by stealing from the longest sibling queue. Once
+    queues are dry, idle slots re-dispatch the oldest outstanding chunk
+    ([policy.speculate]) and the first response wins — a straggler or
+    silently-dead slot no longer gates the batch, and a crashed slot's
+    chunks re-enter the queue instead of falling back to the
+    coordinator. [None] positions remain only for chunks no live slot
+    could complete (deterministic executor failure, unmarshalable
+    request, or every slot dead). Dispatches are serialized
+    process-wide (one conversation per slot at a time). *)
 
 (** {2 The shared pool} *)
 

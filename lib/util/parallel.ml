@@ -226,14 +226,6 @@ let effective_width cost input =
    batches so thin that most domains would wake up for nothing. *)
 let default_min_jobs_per_core = 0.25
 
-let env_min_jobs_per_core () =
-  match Sys.getenv_opt "MP_POOL_MIN_JOBS_PER_CORE" with
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some f when f >= 0.0 && Float.is_finite f -> f
-     | _ -> default_min_jobs_per_core)
-  | None -> default_min_jobs_per_core
-
 (* Fan out only when the batch can amortise domain wakeup/steal
    overhead: at least two jobs of comparable weight ([width >= 2] —
    below that, the batch is one dominant job plus crumbs and the
@@ -253,14 +245,10 @@ let map ?cost ?min_jobs_per_core pool f xs =
   let fan_out =
     (not forced_seq)
     &&
-    let mjpc =
-      match min_jobs_per_core with
-      | Some v -> v
-      | None -> env_min_jobs_per_core ()
-    in
     worthwhile ~size:pool.size ~jobs:n
       ~width:(effective_width cost input)
-      ~min_jobs_per_core:mjpc
+      ~min_jobs_per_core:
+        (Option.value min_jobs_per_core ~default:default_min_jobs_per_core)
   in
   if n >= 2 then
     Atomic.incr (if fan_out then pool.par_batches else pool.seq_batches);

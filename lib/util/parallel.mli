@@ -24,8 +24,8 @@
       worker — degrades to sequential execution, so nested maps can
       never deadlock on the job deques.
     - Fan-out is {e adaptive}: a batch without enough parallel width
-      to amortise domain wakeup/steal overhead (see {!worthwhile} and
-      the [MP_POOL_MIN_JOBS_PER_CORE] knob) also runs sequentially.
+      to amortise domain wakeup/steal overhead (see {!worthwhile}) also
+      runs sequentially.
       Either execution produces bit-identical results, so the decision
       is pure scheduling; {!serial_fallbacks} / {!parallel_batches}
       count the outcomes.
@@ -64,7 +64,7 @@ val map :
     The batch fans out only when {!worthwhile} says the parallelism
     can amortise domain overhead; otherwise it runs sequentially in
     the caller (bit-identical either way). [min_jobs_per_core]
-    overrides the environment threshold for this call — [0.] forces
+    (default {!default_min_jobs_per_core}) sets the threshold — [0.] forces
     fan-out of any batch with width >= 2, large values force serial
     (tests use both). *)
 
@@ -113,11 +113,6 @@ val default_min_jobs_per_core : float
     width, not the pool's size (a width-6 batch on 8 workers still
     wins ~6x), so the per-core criterion only rejects batches so thin
     that most domains would wake for nothing. *)
-
-val env_min_jobs_per_core : unit -> float
-(** [MP_POOL_MIN_JOBS_PER_CORE] parsed as a non-negative float,
-    otherwise {!default_min_jobs_per_core}. [0] disables the
-    jobs-per-core criterion (any batch of width >= 2 fans out). *)
 
 val parallel_batches : t -> int
 (** Batches (>= 2 jobs) this pool fanned out since creation. Monotone

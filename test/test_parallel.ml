@@ -215,24 +215,6 @@ let test_worthwhile () =
   Alcotest.(check bool) "zero disables the per-core criterion" true
     (w ~size:16 ~jobs:4 ~width:2. ~min_jobs_per_core:0.)
 
-let test_min_jobs_per_core_env () =
-  let d = Mp_util.Parallel.default_min_jobs_per_core in
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "2.5";
-  Alcotest.(check (float 1e-9)) "env override" 2.5
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "0";
-  Alcotest.(check (float 1e-9)) "zero accepted" 0.
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "not-a-number";
-  Alcotest.(check (float 1e-9)) "garbage ignored" d
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "-3";
-  Alcotest.(check (float 1e-9)) "negative ignored" d
-    (Mp_util.Parallel.env_min_jobs_per_core ());
-  Unix.putenv "MP_POOL_MIN_JOBS_PER_CORE" "";
-  Alcotest.(check (float 1e-9)) "unset falls back to the default" d
-    (Mp_util.Parallel.env_min_jobs_per_core ())
-
 let test_adaptive_fallback_counters () =
   let pool = Mp_util.Parallel.create 4 in
   (* a dominated batch (width ~1) runs sequentially in the caller *)
@@ -564,32 +546,6 @@ let test_run_batch_remote_crash_recovers () =
 
 (* ----- dynamic shard scheduler ----------------------------------------------- *)
 
-let test_sched_knob_env () =
-  let sched s = Unix.putenv "MP_SHARD_SCHED" s; Shard_exec.env_sched () in
-  Alcotest.(check bool) "static selected" true (sched "static" = Shard_exec.Static);
-  Alcotest.(check bool) "case/space tolerant" true
-    (sched "  Static " = Shard_exec.Static);
-  Alcotest.(check bool) "dynamic selected" true (sched "dynamic" = Shard_exec.Dynamic);
-  Alcotest.(check bool) "garbage means dynamic" true
-    (sched "one-frame-per-slot" = Shard_exec.Dynamic);
-  Alcotest.(check bool) "unset means dynamic" true (sched "" = Shard_exec.Dynamic);
-  let inflight s = Unix.putenv "MP_INFLIGHT" s; Shard_exec.env_inflight () in
-  Alcotest.(check int) "explicit depth" 4 (inflight "4");
-  Alcotest.(check int) "1 disables pipelining" 1 (inflight "1");
-  Alcotest.(check int) "clamped above" 64 (inflight "1000");
-  Alcotest.(check int) "zero falls back" Shard_exec.default_inflight (inflight "0");
-  Alcotest.(check int) "garbage falls back" Shard_exec.default_inflight
-    (inflight "deep");
-  Alcotest.(check int) "unset is the default" Shard_exec.default_inflight
-    (inflight "");
-  let spec s = Unix.putenv "MP_SPECULATE" s; Shard_exec.env_speculate () in
-  Alcotest.(check bool) "off" true (spec "off" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "0 is off" true (spec "0" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "false is off" true (spec "FALSE" = Shard_exec.Spec_off);
-  Alcotest.(check bool) "force" true (spec "force" = Shard_exec.Spec_force);
-  Alcotest.(check bool) "on" true (spec "on" = Shard_exec.Spec_on);
-  Alcotest.(check bool) "unset means on" true (spec "" = Shard_exec.Spec_on)
-
 let test_chunk_heuristic () =
   (* each slot's pipeline window refills ~4 times over a balanced batch *)
   Alcotest.(check int) "balanced batch" 4
@@ -599,15 +555,7 @@ let test_chunk_heuristic () =
   Alcotest.(check int) "empty batch" 1
     (Shard_exec.default_chunk_jobs ~jobs:0 ~slots:2 ~inflight:2);
   Alcotest.(check int) "degenerate pool" 24
-    (Shard_exec.default_chunk_jobs ~jobs:96 ~slots:0 ~inflight:0);
-  (* the Machine-side helper reads the pipeline depth from MP_INFLIGHT *)
-  Unix.putenv "MP_INFLIGHT" "2";
-  Alcotest.(check int) "machine helper agrees" 4
-    (Machine.shard_chunk_jobs ~jobs:96 ~slots:3);
-  Unix.putenv "MP_INFLIGHT" "8";
-  Alcotest.(check int) "machine helper tracks the knob" 1
-    (Machine.shard_chunk_jobs ~jobs:96 ~slots:3);
-  Unix.putenv "MP_INFLIGHT" ""
+    (Shard_exec.default_chunk_jobs ~jobs:96 ~slots:0 ~inflight:0)
 
 (* A deliberately skewed batch: one heavy program appearing under four
    configurations — the config-blind placement fold lands all four on
@@ -629,19 +577,44 @@ let skewed_jobs a =
   List.map (fun (c, s) -> (cfg c s, heavy)) [ (2, 4); (4, 2); (8, 1); (4, 4) ]
   @ List.mapi (fun i m -> (cfg 1 1, light i m)) [ "fadd"; "mullw"; "xvmaddadp" ]
 
-let test_dynamic_skewed_matches_serial () =
+let test_skewed_policies_match_serial () =
   let a = Arch.power7 () in
   let jobs = skewed_jobs a in
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
   let rec0 = Machine.jobs_recovered () in
+  (* the barrier policy: each slot's bucket travels as exactly one
+     frame, to that slot — never stolen by a sibling with an empty
+     bucket *)
+  let bucket s =
+    List.length
+      (List.filter (fun (_, p) -> Shard_exec.shard_index ~shards:2 [ p ] = s)
+         jobs)
+  in
+  Shard_exec.reset_slot_stats ();
+  let sent0 = Mp_util.Procpool.frames_sent () in
   let m2 = Machine.create ~cache:false a.Arch.uarch in
-  check_identical "static vs serial" serial
-    (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Static m2 jobs);
+  let barrier =
+    Machine.run_batch ~procs:2 ~shard_policy:Shard_exec.barrier_policy m2 jobs
+  in
+  check_identical "barrier policy vs serial" serial barrier;
+  Alcotest.(check int) "one frame per non-empty slot"
+    (List.length (List.filter (fun s -> bucket s > 0) [ 0; 1 ]))
+    (Mp_util.Procpool.frames_sent () - sent0);
+  Alcotest.(check (list (pair string (pair int int))))
+    "each non-empty slot ran its own bucket as one chunk"
+    [ ("proc:0", (min 1 (bucket 0), bucket 0));
+      ("proc:1", (min 1 (bucket 1), bucket 1)) ]
+    (List.map
+       (fun (label, s) -> Shard_exec.(label, (s.sl_chunks, s.sl_jobs)))
+       (Shard_exec.slot_stats ()));
+  Alcotest.(check int) "no duplicates under the barrier" 0
+    (Shard_exec.chunks_speculated ());
   Shard_exec.reset_slot_stats ();
   let m3 = Machine.create ~cache:false a.Arch.uarch in
-  check_identical "dynamic vs serial" serial
-    (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m3 jobs);
+  let default = Machine.run_batch ~procs:2 m3 jobs in
+  check_identical "default policy vs serial" serial default;
+  check_identical "barrier vs default policy" default barrier;
   Alcotest.(check int) "no recoveries in a healthy run" rec0
     (Machine.jobs_recovered ());
   (* per-slot telemetry: both subprocess slots got a row, the
@@ -673,41 +646,40 @@ let test_dynamic_crash_requeues () =
     Mp_util.Procpool.kill (Shard_exec.procpool p) 0;
     let m2 = Machine.create ~cache:false a.Arch.uarch in
     check_identical "one dead worker vs serial" serial
-      (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m2 jobs);
+      (Machine.run_batch ~procs:2 m2 jobs);
     Alcotest.(check int) "requeue absorbed the loss in-pool" rec0
       (Machine.jobs_recovered ());
     (* the next dispatch respawns the reaped slot transparently *)
     let m3 = Machine.create ~cache:false a.Arch.uarch in
     check_identical "respawned pool vs serial" serial
-      (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m3 jobs)
+      (Machine.run_batch ~procs:2 m3 jobs)
 
 let test_speculate_force_first_result_wins () =
   let a = Arch.power7 () in
   let jobs = skewed_jobs a in
   let m1 = Machine.create ~cache:false a.Arch.uarch in
   let serial = List.map (fun (c, p) -> Machine.run m1 c p) jobs in
-  Unix.putenv "MP_SPECULATE" "force";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MP_SPECULATE" "")
-    (fun () ->
-      (* Spec_force duplicates eagerly, so some chunk completes twice:
-         the merge must keep the first result and discard the duplicate
-         (counted as cancelled), still bit-identical to serial. The
-         exact duplicate count is timing-dependent, so retry the batch
-         a few times for a run where a duplicate actually landed. *)
-      let rec attempt tries =
-        let s0 = Shard_exec.chunks_speculated () in
-        let c0 = Shard_exec.chunks_cancelled () in
-        let m2 = Machine.create ~cache:false a.Arch.uarch in
-        check_identical "speculated vs serial" serial
-          (Machine.run_batch ~procs:2 ~shard_sched:Shard_exec.Dynamic m2 jobs);
-        if Shard_exec.chunks_cancelled () > c0 then
-          Alcotest.(check bool) "duplicates were dispatched" true
-            (Shard_exec.chunks_speculated () > s0)
-        else if tries > 1 then attempt (tries - 1)
-        else Alcotest.fail "no duplicate completion in five attempts"
-      in
-      attempt 5)
+  let shard_policy =
+    { Shard_exec.default_policy with speculate = Shard_exec.Spec_force }
+  in
+  (* Spec_force duplicates eagerly, so some chunk completes twice: the
+     merge must keep the first result and discard the duplicate
+     (counted as cancelled), still bit-identical to serial. The exact
+     duplicate count is timing-dependent, so retry the batch a few
+     times for a run where a duplicate actually landed. *)
+  let rec attempt tries =
+    let s0 = Shard_exec.chunks_speculated () in
+    let c0 = Shard_exec.chunks_cancelled () in
+    let m2 = Machine.create ~cache:false a.Arch.uarch in
+    check_identical "speculated vs serial" serial
+      (Machine.run_batch ~procs:2 ~shard_policy m2 jobs);
+    if Shard_exec.chunks_cancelled () > c0 then
+      Alcotest.(check bool) "duplicates were dispatched" true
+        (Shard_exec.chunks_speculated () > s0)
+    else if tries > 1 then attempt (tries - 1)
+    else Alcotest.fail "no duplicate completion in five attempts"
+  in
+  attempt 5
 
 let () =
   Alcotest.run "mp_parallel"
@@ -731,8 +703,6 @@ let () =
       ("adaptive fan-out",
        [ Alcotest.test_case "effective width" `Quick test_effective_width;
          Alcotest.test_case "worthwhile predicate" `Quick test_worthwhile;
-         Alcotest.test_case "MP_POOL_MIN_JOBS_PER_CORE" `Quick
-           test_min_jobs_per_core_env;
          Alcotest.test_case "fallback counters" `Quick
            test_adaptive_fallback_counters ]);
       ("run_batch",
@@ -759,11 +729,10 @@ let () =
          Alcotest.test_case "remote crash recovers + reconnects" `Quick
            test_run_batch_remote_crash_recovers ]);
       ("dynamic scheduler",
-       [ Alcotest.test_case "MP_SHARD_SCHED / MP_INFLIGHT / MP_SPECULATE"
-           `Quick test_sched_knob_env;
-         Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;
-         Alcotest.test_case "skewed batch bit-identical (static+dynamic)"
-           `Quick test_dynamic_skewed_matches_serial;
+       [ Alcotest.test_case "chunk-size heuristic" `Quick test_chunk_heuristic;
+         Alcotest.test_case
+           "skewed batch bit-identical (static barrier + default policy)"
+           `Quick test_skewed_policies_match_serial;
          Alcotest.test_case "SIGKILL mid-batch requeues in-pool" `Quick
            test_dynamic_crash_requeues;
          Alcotest.test_case "forced speculation: first result wins" `Quick
