@@ -11,8 +11,9 @@
      iteration boundary without ever matching — exactly the case whose
      O(sets x ways) serialization the packed model's rolling digest
      replaces. CI floors: >= 2x packed-vs-list aggregate wall-clock on
-     the L3/MEM kernels, and every kernel's loads sourced
-     predominantly from its targeted level.
+     the L3/MEM kernels, every kernel's loads sourced predominantly
+     from its targeted level, and at most [max_minor_words_per_cycle]
+     minor-heap words allocated per simulated cycle on every kernel.
 
    - Stride sweep: a raw Cache_sim throughput walk over the
      STREAM-like [Set_assoc_model.sequential_stream] at MEM footprint,
@@ -40,6 +41,13 @@ let strides = [ 1; 2; 4; 8; 16 ]
    fingerprint — the list model's worst case and the packed model's
    target case *)
 let measure = 16
+
+(* allocation ceiling per simulated cycle (packed model, whole
+   Machine.run lap): the simulator step allocates nothing per cycle or
+   per issue, so what remains is per-boundary fingerprinting and the
+   per-run setup; a closure or boxed value back in the step loop
+   pushes the dense kernels well past it *)
+let max_minor_words_per_cycle = 150.0
 
 let lname = Cache_geometry.level_to_string
 
@@ -283,6 +291,17 @@ let run (ctx : Context.t) =
               its target level"
              (lname k.k_target) k.k_smt tfrac))
     kernels;
+  (* allocation ceiling on every kernel *)
+  List.iter
+    (fun k ->
+      if k.k_minor_words_per_cycle > max_minor_words_per_cycle then
+        failwith
+          (Printf.sprintf
+             "membench: %s smt%d kernel allocates %.1f minor words per cycle \
+              (ceiling %.0f) — the simulator step has started allocating"
+             (lname k.k_target) k.k_smt k.k_minor_words_per_cycle
+             max_minor_words_per_cycle))
+    kernels;
   (* speedup floor on the kernels that fingerprint every boundary *)
   let deep =
     List.filter
@@ -296,8 +315,9 @@ let run (ctx : Context.t) =
   Context.record_metric ctx "membench_l3mem_speedup" l3mem_speedup;
   Context.log
     "L3/MEM-resident kernels: packed %.2fx vs list (floor 2.0x);\n\
-     all 12 kernels bit-identical across models"
-    l3mem_speedup;
+     all 12 kernels bit-identical across models and within %.0f minor \
+     words per cycle"
+    l3mem_speedup max_minor_words_per_cycle;
   if l3mem_speedup < 2.0 then
     failwith
       (Printf.sprintf

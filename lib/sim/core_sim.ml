@@ -240,8 +240,6 @@ type thread_state = {
   rcal_next : int array;      (* per slot: next in the same calendar cycle *)
 }
 
-let calendar_size = 16384
-
 let level_id = function
   | Cache_geometry.L1 -> 0
   | Cache_geometry.L2 -> 1
@@ -256,10 +254,10 @@ type boundary = {
   b_cycle : int;
   b_iters : int array;
   b_raw : raw_counters array;
-  b_op_issues : int array;
+  b_op_issues : int array;     (* run-local opcode ids *)
   b_level_loads : int array;
   b_switch : int;
-  b_transitions : int array;
+  b_transitions : int array;   (* run-local opcode pairs *)
   b_cache : int array;
 }
 
@@ -333,15 +331,64 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
         Array.make (max 1 (Uarch_def.pipe_count uarch kind)) 0)
   in
   let pipe_now = ref 0 in
-  let op_issues = Array.make (max 1 (opmap_size opmap + 64)) 0 in
+  (* Run-local opcode ids: the opcodes these programs use, numbered
+     0..n_ops-1 in ascending global-id order. The opmap holds every
+     opcode the machine has interned so far, while a kernel uses a
+     handful, so per-opcode counters and the transition matrix are
+     keyed locally and mapped back to global ids only when the results
+     are built. The mapping is monotone, so ascending local order is
+     ascending global order. All global ids are < opmap_size at run
+     entry (interning happens at deploy, never mid-run). *)
+  let n_global = opmap_size opmap in
+  let local_of = Array.make (max 1 n_global) (-1) in
+  Array.iter
+    (fun (p : dprog) ->
+      Array.iter (fun (d : dinstr) -> local_of.(d.op_id) <- 0) p.body)
+    progs;
+  let n_ops = ref 0 in
+  for g = 0 to n_global - 1 do
+    if local_of.(g) >= 0 then begin
+      local_of.(g) <- !n_ops;
+      incr n_ops
+    end
+  done;
+  let n_ops = !n_ops in
+  let global_of = Array.make n_ops 0 in
+  Array.iteri (fun g l -> if l >= 0 then global_of.(l) <- g) local_of;
+  let op_issues = Array.make n_ops 0 in
   let level_loads = Array.make 4 0 in
   let switch_events = ref 0 in
-  (* dispatch-bus opcode transitions: a flat dense matrix over interned
-     opcode pairs — the per-dispatch Hashtbl this replaces dominated the
-     dispatch loop. All ids are < opmap_size at run entry (interning
-     happens at deploy, never mid-run). *)
-  let trans_stride = max 1 (opmap_size opmap) in
-  let transitions = Array.make (trans_stride * trans_stride) 0 in
+  (* dispatch-bus opcode transitions: a flat dense matrix over local
+     opcode pairs *)
+  let transitions = Array.make (n_ops * n_ops) 0 in
+  (* Completion and wakeup calendars are rings over cycles. Every event
+     lands at most [max_lat] cycles ahead (the longest load-to-use or
+     base latency, the mispredict stall, or the longest pipe
+     occupancy). A ring of at least 4x that, and never under 64 slots,
+     cannot alias a pending event onto an earlier cycle, and the
+     fast-forward horizon (one ring span) lies beyond every event. *)
+  let mispredict_penalty = 6 in
+  let max_lat =
+    let m = ref mispredict_penalty in
+    Array.iter (fun l -> if l > !m then m := l) latencies;
+    Array.iter
+      (fun (p : dprog) ->
+        Array.iter
+          (fun (d : dinstr) ->
+            if d.latency > !m then m := d.latency;
+            let occ (_, o) = if (o / tick) + 1 > !m then m := (o / tick) + 1 in
+            Array.iter occ d.fixed;
+            Array.iter occ d.alt)
+          p.body)
+      progs;
+    !m
+  in
+  let calendar_size =
+    let n = ref 64 in
+    while !n < 4 * max_lat do n := 2 * !n done;
+    !n
+  in
+  let cal_mask = calendar_size - 1 in
   (* scratch for pipe-slot selection, hoisted out of the cycle loop *)
   let max_fixed =
     Array.fold_left
@@ -413,23 +460,22 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     else begin
       let insts = pipe_free.(k) in
       let n = Array.length insts in
-      let rec go i =
-        if i = n then -1 else if insts.(i) < tick then i else go (i + 1)
-      in
-      go 0
+      let i = ref 0 in
+      while !i < n && insts.(!i) >= tick do incr i done;
+      if !i = n then -1 else !i
     end
   in
   (* advance the pipe residual epoch to [now] (clamping at free) *)
   let rebase_pipes now =
     if now > !pipe_now then begin
       let d = (now - !pipe_now) * tick in
-      Array.iter
-        (fun insts ->
-          for i = 0 to Array.length insts - 1 do
-            let r = insts.(i) - d in
-            insts.(i) <- (if r > 0 then r else 0)
-          done)
-        pipe_free;
+      for k = 0 to n_pipe_kinds - 1 do
+        let insts = pipe_free.(k) in
+        for i = 0 to Array.length insts - 1 do
+          let r = insts.(i) - d in
+          insts.(i) <- (if r > 0 then r else 0)
+        done
+      done;
       for k = 0 to n_pipe_kinds - 1 do
         let m = pipe_min.(k) - d in
         pipe_min.(k) <- (if m > 0 then m else 0)
@@ -473,7 +519,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     t.rprev.(s) <- -2
   in
   let rcal_park t s at =
-    let idx = at land (calendar_size - 1) in
+    let idx = at land cal_mask in
     t.rcal_next.(s) <- t.rcal.(idx);
     t.rcal.(idx) <- s
   in
@@ -485,7 +531,12 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
      they terminate the run like simulated ones, but never advance
      [iter] itself, whose raw value carries the stream/pattern phases. *)
   let all_done () =
-    Array.for_all (fun t -> t.iter + t.iter_credit >= total_iters) threads
+    let d = ref true in
+    for j = 0 to nthreads - 1 do
+      let t = threads.(j) in
+      if t.iter + t.iter_credit < total_iters then d := false
+    done;
+    !d
   in
   let reset_measurement () =
     Array.iter
@@ -724,9 +775,9 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                     threads;
                 pd_op_issues =
                   (let acc = ref [] in
-                   for i = Array.length b.b_op_issues - 1 downto 0 do
+                   for i = n_ops - 1 downto 0 do
                      let d = op_issues.(i) - b.b_op_issues.(i) in
-                     if d <> 0 then acc := (i, d) :: !acc
+                     if d <> 0 then acc := (global_of.(i), d) :: !acc
                    done;
                    !acc);
                 pd_level_loads =
@@ -739,7 +790,8 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                      let d = transitions.(key) - b.b_transitions.(key) in
                      if d <> 0 then
                        acc :=
-                         (key / trans_stride, key mod trans_stride, d) :: !acc
+                         (global_of.(key / n_ops), global_of.(key mod n_ops), d)
+                         :: !acc
                    done;
                    !acc);
                 pd_prefetches =
@@ -785,7 +837,26 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     end;
     Hashtbl.reset b_table
   in
-  let mispredict_penalty = 6 in
+  (* The step loop below allocates nothing per cycle or per issue: no
+     closures (they capture per-cycle values and would be allocated on
+     every call), only [for]/[while] loops and functions defined once per
+     run. Fingerprinting and snapshots at iteration boundaries are the
+     only allocating work. *)
+  let reserve (c : raw_counters) (di : dinstr) kind slot occ =
+    let insts = pipe_free.(kind) in
+    (* residuals are clamped >= 0 at rebase, so reserving from the
+       sub-cycle free tick is a plain addition *)
+    insts.(slot) <- insts.(slot) + occ;
+    recompute_pipe_min kind;
+    if !measuring then
+      match kind with
+      | 0 -> c.fxu <- c.fxu + 1
+      | 1 -> c.lsu <- c.lsu + 1
+      | 2 -> c.vsu <- c.vsu + 1
+      | 3 -> c.bru <- c.bru + 1
+      | 4 -> c.st <- c.st + 1
+      | _ -> c.fxu <- c.fxu + di.upd_ops
+  in
   while not (all_done ()) do
     let now = !cycle in
     rebase_pipes now;
@@ -804,30 +875,27 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       | Some b -> apply_period b now
       | None -> Hashtbl.add b_table fp (snapshot now)
     end;
-    (* retire completions from the calendar *)
-    Array.iter
-      (fun t ->
-        let slot = now land (calendar_size - 1) in
-        t.in_flight <- t.in_flight - t.comp_cal.(slot);
-        t.comp_cal.(slot) <- 0)
-      threads;
-    (* wake entries whose operand-arrival cycle is now *)
-    Array.iter
-      (fun t ->
-        let idx = now land (calendar_size - 1) in
-        let s = ref t.rcal.(idx) in
-        t.rcal.(idx) <- -1;
-        while !s >= 0 do
-          let nx = t.rcal_next.(!s) in
-          t.rcal_next.(!s) <- -1;
-          if t.ready_at.(!s) > now then
-            (* calendar aliasing guard; unreachable while latencies stay
-               below the calendar span, but cheap to keep honest *)
-            rcal_park t !s t.ready_at.(!s)
-          else ready_insert t !s;
-          s := nx
-        done)
-      threads;
+    let idx = now land cal_mask in
+    for j = 0 to nthreads - 1 do
+      let t = threads.(j) in
+      (* retire completions from the calendar *)
+      t.in_flight <- t.in_flight - t.comp_cal.(idx);
+      t.comp_cal.(idx) <- 0;
+      (* wake entries whose operand-arrival cycle is now *)
+      let s = ref t.rcal.(idx) in
+      t.rcal.(idx) <- -1;
+      while !s >= 0 do
+        let nx = t.rcal_next.(!s) in
+        t.rcal_next.(!s) <- -1;
+        if t.ready_at.(!s) > now then
+          (* calendar aliasing guard: unreachable while the calendar
+             spans 4x the run's longest latency, but cheap to keep
+             honest *)
+          rcal_park t !s t.ready_at.(!s)
+        else ready_insert t !s;
+        s := nx
+      done
+    done;
     (* dispatch: shared width, round-robin priority *)
     let progressed = ref false in
     let budget = ref uarch.Uarch_def.dispatch_width in
@@ -897,14 +965,16 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           else rcal_park t sidx t.ready_at.(sidx)
         end;
         progressed := true;
-        let op_id = t.prog.body.(t.pc).op_id in
+        let op_id = body_i.op_id in
         if !measuring then begin
           t.counters.dispatched <- t.counters.dispatched + 1;
           (* opcode transition on the shared dispatch bus: the order-
              dependent switching activity the ground truth charges for *)
           if op_id <> t.last_dispatch_op && t.last_dispatch_op >= 0 then begin
             incr switch_events;
-            let key = (t.last_dispatch_op * trans_stride) + op_id in
+            let key =
+              (local_of.(t.last_dispatch_op) * n_ops) + local_of.(op_id)
+            in
             transitions.(key) <- transitions.(key) + 1
           end
         end;
@@ -947,57 +1017,33 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
               let sl = find_free kind in
               if sl < 0 then ok := false else fixed_slots.(f) <- sl
             done;
+            (* first alternative pipe kind with a free instance *)
             let alt_choice = ref (-1) in
             let alt_slot = ref (-1) in
-            if !ok && Array.length di.alt > 0 then begin
-              let found = ref false in
-              Array.iter
-                (fun (kind, _) ->
-                  if not !found then begin
-                    let sl = find_free kind in
-                    if sl >= 0 then begin
-                      found := true;
-                      alt_choice := kind;
-                      alt_slot := sl
-                    end
-                  end)
-                di.alt;
-              if not !found then ok := false
+            let alt_occ = ref 0 in
+            let nalt = Array.length di.alt in
+            if !ok && nalt > 0 then begin
+              let a = ref 0 in
+              while !alt_choice < 0 && !a < nalt do
+                let kind, occ = di.alt.(!a) in
+                let sl = find_free kind in
+                if sl >= 0 then begin
+                  alt_choice := kind;
+                  alt_slot := sl;
+                  alt_occ := occ
+                end;
+                incr a
+              done;
+              if !alt_choice < 0 then ok := false
             end;
             if !ok then begin
               (* reserve pipes, count unit events *)
-              let count_pipe kind =
-                if !measuring then
-                  match kind with
-                  | 0 -> c.fxu <- c.fxu + 1
-                  | 1 -> c.lsu <- c.lsu + 1
-                  | 2 -> c.vsu <- c.vsu + 1
-                  | 3 -> c.bru <- c.bru + 1
-                  | 4 -> c.st <- c.st + 1
-                  | _ -> c.fxu <- c.fxu + di.upd_ops
-              in
-              let reserve kind slot occ =
-                let insts = pipe_free.(kind) in
-                (* residuals are clamped >= 0 at rebase, so reserving
-                   from the sub-cycle free tick is a plain addition *)
-                insts.(slot) <- insts.(slot) + occ;
-                recompute_pipe_min kind;
-                count_pipe kind
-              in
               for f = 0 to nfixed - 1 do
                 let kind, occ = fixed.(f) in
-                reserve kind fixed_slots.(f) occ
+                reserve c di kind fixed_slots.(f) occ
               done;
-              if !alt_choice >= 0 then begin
-                let occ =
-                  let rec find i =
-                    let k, o = di.alt.(i) in
-                    if k = !alt_choice then o else find (i + 1)
-                  in
-                  find 0
-                in
-                reserve !alt_choice !alt_slot occ
-              end;
+              if !alt_choice >= 0 then
+                reserve c di !alt_choice !alt_slot !alt_occ;
               (* latency *)
               let lat =
                 if di.mem = 1 && Array.length di.stream > 0 then begin
@@ -1050,11 +1096,12 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                   w := nw
                 done
               end;
-              t.comp_cal.(completion land (calendar_size - 1)) <-
-                t.comp_cal.(completion land (calendar_size - 1)) + 1;
+              let cidx = completion land cal_mask in
+              t.comp_cal.(cidx) <- t.comp_cal.(cidx) + 1;
               if !measuring then begin
                 c.instrs <- c.instrs + 1;
-                op_issues.(di.op_id) <- op_issues.(di.op_id) + 1
+                let l = local_of.(di.op_id) in
+                op_issues.(l) <- op_issues.(l) + 1
               end;
               progressed := true;
               ready_remove t s;
@@ -1071,11 +1118,16 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       end
     done;
     (* start the measured window once every thread passed warmup *)
-    if (not !measuring) && Array.for_all (fun t -> t.iter >= warmup) threads
-    then begin
-      measuring := true;
-      start_cycle := now + 1;
-      reset_measurement ()
+    if not !measuring then begin
+      let warm = ref true in
+      for j = 0 to nthreads - 1 do
+        if threads.(j).iter < warmup then warm := false
+      done;
+      if !warm then begin
+        measuring := true;
+        start_cycle := now + 1;
+        reset_measurement ()
+      end
     end;
     incr cycle;
     (* Fast-forward across dead cycles. Tier A (blocked): every thread
@@ -1089,48 +1141,49 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
        and wakeup slots, and the blocking conditions persist until one
        of those events, so skipping is exact. *)
     if not (all_done ()) then begin
-      let blocked =
-        Array.for_all
-          (fun t ->
-            t.rhead < 0
-            && (t.stall_until > !cycle || t.in_flight >= window
-                || t.q_len >= window))
-          threads
-      in
-      if blocked || not !progressed then begin
+      let blocked = ref true in
+      for j = 0 to nthreads - 1 do
+        let t = threads.(j) in
+        if
+          t.rhead >= 0
+          || not
+               (t.stall_until > !cycle || t.in_flight >= window
+                || t.q_len >= window)
+        then blocked := false
+      done;
+      if !blocked || not !progressed then begin
         let horizon = ref (!cycle + calendar_size - 2) in
-        if not blocked then
-          Array.iter
-            (fun insts ->
-              Array.iter
-                (fun r ->
-                  (* an instance is free as soon as its residual drops
-                     below one full cycle ([find_free] tests < tick), so
-                     it frees after floor(r/tick) more cycles — ceiling
-                     here would overshoot fractional residuals by one
-                     cycle and skip cycles where issue was possible *)
-                  let c = !pipe_now + (r / tick) in
-                  if c >= !cycle && c < !horizon then horizon := c)
-                insts)
-            pipe_free;
-        Array.iter
-          (fun t ->
-            if t.stall_until >= !cycle && t.stall_until < !horizon then
-              horizon := t.stall_until)
-          threads;
-        let inflight_total =
-          Array.fold_left (fun acc t -> acc + t.in_flight) 0 threads
-        in
-        if inflight_total = 0 && !horizon > !cycle + calendar_size - 4 then
+        if not !blocked then
+          for k = 0 to n_pipe_kinds - 1 do
+            let insts = pipe_free.(k) in
+            for i = 0 to Array.length insts - 1 do
+              (* an instance is free as soon as its residual drops below
+                 one full cycle ([find_free] tests < tick), so it frees
+                 after floor(r/tick) more cycles — ceiling here would
+                 overshoot fractional residuals by one cycle and skip
+                 cycles where issue was possible *)
+              let c = !pipe_now + (insts.(i) / tick) in
+              if c >= !cycle && c < !horizon then horizon := c
+            done
+          done;
+        let inflight_total = ref 0 in
+        for j = 0 to nthreads - 1 do
+          let t = threads.(j) in
+          if t.stall_until >= !cycle && t.stall_until < !horizon then
+            horizon := t.stall_until;
+          inflight_total := !inflight_total + t.in_flight
+        done;
+        if !inflight_total = 0 && !horizon > !cycle + calendar_size - 4 then
           failwith "Core_sim: deadlock (no in-flight work and no events)";
-        let slot_empty c =
-          let idx = c land (calendar_size - 1) in
-          Array.for_all
-            (fun t -> t.comp_cal.(idx) = 0 && t.rcal.(idx) < 0)
-            threads
-        in
-        while !cycle < !horizon && slot_empty !cycle do
-          incr cycle
+        (* advance while no thread has a completion or wakeup due *)
+        let empty = ref true in
+        while !empty && !cycle < !horizon do
+          let idx = !cycle land cal_mask in
+          for j = 0 to nthreads - 1 do
+            let t = threads.(j) in
+            if t.comp_cal.(idx) <> 0 || t.rcal.(idx) >= 0 then empty := false
+          done;
+          if !empty then incr cycle
         done
       end
     end
@@ -1160,19 +1213,24 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   let activity = {
     measured_cycles;
     threads = Array.map counters_of threads;
-    op_issues;
+    op_issues =
+      (let a = Array.make (max 1 (n_global + 64)) 0 in
+       Array.iteri (fun l n -> a.(global_of.(l)) <- n) op_issues;
+       a);
     level_loads;
     switch_events = !switch_events;
     transitions =
-      (* ascending (prev, next) id order: deterministic regardless of
-         the matrix stride; Power_sim re-sorts by opcode *name* before
-         summing so the energy is also independent of how this
-         machine's intern table grew *)
+      (* ascending (prev, next) global id order, because the local ids
+         are monotone in the global ones; Power_sim re-sorts by opcode
+         *name* before summing so the energy is also independent of how
+         this machine's intern table grew *)
       (let acc = ref [] in
        for key = Array.length transitions - 1 downto 0 do
          let count = transitions.(key) in
          if count > 0 then
-           acc := (key / trans_stride, key mod trans_stride, count) :: !acc
+           acc :=
+             (global_of.(key / n_ops), global_of.(key mod n_ops), count)
+             :: !acc
        done;
        !acc);
     daf;

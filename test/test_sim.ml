@@ -1325,6 +1325,256 @@ let prop_power_monotone_in_cores =
       let pw k = (Machine.run machine (config a ~cores:k ~smt:1) p).Measurement.power in
       pw (n + 1) > pw n)
 
+(* ----- run-local opcode ids and the latency-sized calendars ---------------- *)
+
+(* Hand-built address streams, independent of the memory-model code so
+   the pinned digests below move only when Core_sim does: thread
+   [thread]'s stream for body index [idx] walks [lines] positions of a
+   [footprint]-line region with a stride of 97 lines (coprime with the
+   footprint, and never sequential, so the prefetcher stays idle). *)
+let hand_streams ~thread ~footprint ~lines idx =
+  Array.init lines (fun j ->
+      ((thread + 1) lsl 26) + (((((idx * lines) + j) * 97) mod footprint) * 128))
+
+(* An opmap that already holds 150 unrelated mnemonics plus [bdnz]:
+   the kernels' opcodes intern after it, so their global ids are far
+   from the dense run-local ids and the loop-closing branch sorts
+   before them. *)
+let pregrown_opmap () =
+  let m = Core_sim.opmap_create () in
+  for i = 0 to 149 do
+    ignore (Core_sim.intern m (Printf.sprintf "pad%03d" i))
+  done;
+  ignore (Core_sim.intern m "bdnz");
+  m
+
+let golden_kernels a =
+  let branchy =
+    let synth = Synthesizer.create ~name:"golden-br" a in
+    Synthesizer.add_pass synth (Passes.skeleton ~size:64);
+    Synthesizer.add_pass synth
+      (Passes.fill_sequence [ Arch.find_instruction a "add" ]);
+    Synthesizer.add_pass synth
+      (Passes.branch_model ~bc:(Arch.find_instruction a "bc") ~frequency:0.2
+         ~taken_ratio:0.5 ~pattern_length:4);
+    Synthesizer.add_pass synth (Passes.dependency Builder.No_deps);
+    Synthesizer.synthesize ~seed:31 synth
+  in
+  let mix =
+    let synth = Synthesizer.create ~name:"golden-mix" a in
+    Synthesizer.add_pass synth (Passes.skeleton ~size:48);
+    Synthesizer.add_pass synth
+      (Passes.fill_sequence
+         (List.map (Arch.find_instruction a) [ "lbz"; "andi."; "stfd" ]));
+    Synthesizer.add_pass synth (Passes.memory_model l1);
+    Synthesizer.add_pass synth (Passes.dependency (Builder.Fixed 2));
+    Synthesizer.synthesize ~seed:41 synth
+  in
+  [ ("fadd chain", mono a ~size:32 ~dep:(Builder.Fixed 1) "fadd", 64, 4);
+    ("mulld", mono a ~size:32 "mulld", 64, 4);
+    ("lbz/andi./stfd", mix, 64, 4);
+    ("L2 loads",
+     mono a ~size:32 ~mem_mix:[ (Mp_uarch.Cache_geometry.L2, 1.0) ] "lbz",
+     384, 16);
+    ("branchy", branchy, 64, 4) ]
+
+let golden_run a ~smt ~period (p, footprint, lines) =
+  let u = a.Arch.uarch in
+  let opmap = pregrown_opmap () in
+  let progs =
+    Array.init smt (fun thread ->
+        Core_sim.deploy ~uarch:u ~opmap
+          ~streams:(hand_streams ~thread ~footprint ~lines) p)
+  in
+  Core_sim.run_ex ~uarch:u ~opmap ~warmup:1 ~measure:96 ~period progs
+
+(* Digests of Marshal.to_string (activity, period_delta) [No_sharing],
+   computed on the simulator as it stood before opcode ids became
+   run-local and the calendars became latency-sized. Every other
+   bit-identity suite compares two modes of the same build; these pin
+   the result across builds, so a remap that reorders [transitions] or
+   renumbers [op_issues] shows up here. *)
+let golden_digests =
+  [ ("fadd chain smt1 period", "b9ad9bc21b980c221c49af9ddd3eddf4");
+    ("fadd chain smt1 dense", "b3add4b9b4b5c566f30deb7b3fc94a98");
+    ("fadd chain smt2 period", "0bfc2c210fe1aa0dfe5986dd9c0ba7fb");
+    ("fadd chain smt2 dense", "a41dfcee65b73ee8d80c8c560adafeb6");
+    ("fadd chain smt4 period", "cceafd360db382d81345a38d5c464c43");
+    ("fadd chain smt4 dense", "897792714d1127898d53121860313f6a");
+    ("mulld smt1 period", "77a2b071fec444c0aeea1b687fd4eae3");
+    ("mulld smt1 dense", "ef12e4ff9b345fbcb6929c39f3c6974f");
+    ("mulld smt2 period", "360fceddf1124bd75104ae0fcac04cd5");
+    ("mulld smt2 dense", "d705537773d76fefafb3eddd4ea759c4");
+    ("mulld smt4 period", "9dcbc6fa2d11598791415f87ad4d31f5");
+    ("mulld smt4 dense", "bfb93f7c225f54da2749aaa0bea957e8");
+    ("lbz/andi./stfd smt1 period", "160cc175ba9957cc5a2c21d098c64928");
+    ("lbz/andi./stfd smt1 dense", "cdeac47bf59d6d71dc96d79bbff0986e");
+    ("lbz/andi./stfd smt2 period", "f3937dc628dab673f5803a38d69e4ac5");
+    ("lbz/andi./stfd smt2 dense", "f3937dc628dab673f5803a38d69e4ac5");
+    ("lbz/andi./stfd smt4 period", "7d6d059a779bbdac0fa87a19643905ab");
+    ("lbz/andi./stfd smt4 dense", "7d6d059a779bbdac0fa87a19643905ab");
+    ("L2 loads smt1 period", "4bca6710ef75bfb2cb665c6be2651507");
+    ("L2 loads smt1 dense", "4bca6710ef75bfb2cb665c6be2651507");
+    ("L2 loads smt2 period", "0e721acae728f734b484aa0e322b523e");
+    ("L2 loads smt2 dense", "0e721acae728f734b484aa0e322b523e");
+    ("L2 loads smt4 period", "f0bd4fc1181fd814d06ea839a99e36d9");
+    ("L2 loads smt4 dense", "f0bd4fc1181fd814d06ea839a99e36d9");
+    ("branchy smt1 period", "a3e0877f1465c0aa227cea78b1f23f5f");
+    ("branchy smt1 dense", "cf1cc3d993bf7b35fc7468433b6f0555");
+    ("branchy smt2 period", "528a65eb6f9d5a24f1a492e5eeca9ac1");
+    ("branchy smt2 dense", "c7bd5bdd8e990a2bf97fd710e2d0b68a");
+    ("branchy smt4 period", "cea29d8b34839b7d1946e9a87d059da6");
+    ("branchy smt4 dense", "cea29d8b34839b7d1946e9a87d059da6") ]
+
+let test_golden_activity () =
+  let a = arch () in
+  let got =
+    List.concat_map
+      (fun (name, p, footprint, lines) ->
+        List.concat_map
+          (fun smt ->
+            List.map
+              (fun period ->
+                let r = golden_run a ~smt ~period (p, footprint, lines) in
+                ( Printf.sprintf "%s smt%d %s" name smt
+                    (if period then "period" else "dense"),
+                  Digest.to_hex
+                    (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
+                ))
+              [ true; false ])
+          [ 1; 2; 4 ])
+      (golden_kernels a)
+  in
+  if got <> golden_digests then begin
+    List.iter (fun (n, d) -> Printf.printf "    (%S, %S);\n" n d) got;
+    Alcotest.fail "activity digests moved"
+  end
+
+let test_calendar_long_latency () =
+  (* Loads whose addresses all map to set 0 of every cache level: 32
+     lines cycling through one 8-way set thrash LRU, so every load
+     misses to memory and costs the memory latency. A dependent chain
+     pays it once per link; independent loads fill the in-flight
+     window, which frees only as completions retire, so a calendar that
+     retired a completion early would let dispatch run ahead. Either
+     way the measured cycles are an exact linear function of the
+     latency, up to 20,000 cycles, where a fixed 16,384-slot calendar
+     would alias completions onto earlier cycles. *)
+  let a = arch () in
+  let u = a.Arch.uarch in
+  let streams idx = Array.init 8 (fun j -> ((idx * 8) + j + 1) lsl 24) in
+  let check name dep =
+    let p =
+      mono a ~size:4 ~dep ~mem_mix:[ (Mp_uarch.Cache_geometry.MEM, 1.0) ] "ld"
+    in
+    let run ~mem_latency ~period =
+      let opmap = Core_sim.opmap_create () in
+      let dp = Core_sim.deploy ~uarch:u ~opmap ~streams p in
+      Core_sim.run_ex ~uarch:u ~opmap ~mem_latency ~warmup:1 ~measure:96
+        ~period [| dp |]
+    in
+    let cycles lat =
+      let name = Printf.sprintf "%s, latency %d" name lat in
+      let hits0 = Core_sim.period_hits () in
+      let dense = fst (run ~mem_latency:lat ~period:false) in
+      let skip = fst (run ~mem_latency:lat ~period:true) in
+      Alcotest.(check bool) (name ^ ": period detected") true
+        (Core_sim.period_hits () > hits0);
+      Alcotest.(check bool) (name ^ ": skip = dense") true
+        (compare dense skip = 0);
+      let mem = dense.Core_sim.level_loads.(3) in
+      Alcotest.(check (array int)) (name ^ ": every load from memory")
+        [| 0; 0; 0; mem |] dense.Core_sim.level_loads;
+      (dense.Core_sim.measured_cycles, mem)
+    in
+    let c1, m1 = cycles 180 and c2, m2 = cycles 5_000 and c3, m3 = cycles 20_000 in
+    Alcotest.(check (list int)) (name ^ ": same loads in the window")
+      [ m1; m1 ] [ m2; m3 ];
+    (* cycles = k * latency + b: k latency-bound rounds per window *)
+    let k = (c2 - c1) / (5_000 - 180) in
+    Alcotest.(check int) (name ^ ": cycles linear in the latency")
+      (c1 + (k * (20_000 - 180))) c3;
+    Alcotest.(check int) (name ^ ": exact slope") (c1 + (k * (5_000 - 180))) c2;
+    k, m1
+  in
+  let links, loads = check "chain" (Builder.Fixed 1) in
+  Alcotest.(check int) "one latency per chain link" loads links;
+  let rounds, loads = check "independent" Builder.No_deps in
+  (* independent loads overlap: one latency per window-full of loads *)
+  Alcotest.(check int) "one latency per in-flight window"
+    (loads / u.Mp_uarch.Uarch_def.window) rounds
+
+let prop_local_ids_invisible =
+  (* the same program on a fresh opmap and on one pre-grown with the
+     whole ISA in shuffled order: the per-opcode counts must agree name
+     for name, and [transitions] must come out strictly ascending in
+     (prev, next) on both, whatever the global ids are *)
+  let a = arch () in
+  let u = a.Arch.uarch in
+  let candidates =
+    Array.of_list
+      (Arch.select a (fun i ->
+           (not i.Mp_isa.Instruction.privileged)
+           && (not (Mp_isa.Instruction.is_branch i))
+           && not i.Mp_isa.Instruction.prefetch))
+  in
+  let all_names =
+    "bdnz"
+    :: List.map
+         (fun i -> i.Mp_isa.Instruction.mnemonic)
+         (Arch.select a (fun _ -> true))
+  in
+  let named m (act : Core_sim.activity) =
+    let issues = ref [] in
+    Array.iteri
+      (fun id n ->
+        if n > 0 then issues := (Core_sim.opmap_name m id, n) :: !issues)
+      act.Core_sim.op_issues;
+    ( List.sort compare !issues,
+      List.sort compare
+        (List.map
+           (fun (p, n, c) ->
+             (Core_sim.opmap_name m p, Core_sim.opmap_name m n, c))
+           act.Core_sim.transitions) )
+  in
+  let rec ascending = function
+    | (p, n, _) :: ((p', n', _) :: _ as rest) ->
+      compare (p, n) (p', n') < 0 && ascending rest
+    | _ -> true
+  in
+  QCheck.Test.make ~name:"local opcode ids invisible" ~count:25
+    QCheck.(triple small_int (int_range 1 6) (int_range 1 2))
+    (fun (seed, picks, smt) ->
+      let g = Mp_util.Rng.create seed in
+      let seq = List.init picks (fun _ -> Mp_util.Rng.choose g candidates) in
+      let synth = Synthesizer.create ~name:"remap" a in
+      Synthesizer.add_pass synth (Passes.skeleton ~size:24);
+      Synthesizer.add_pass synth (Passes.fill_sequence seq);
+      if List.exists Mp_isa.Instruction.is_memory seq then
+        Synthesizer.add_pass synth (Passes.memory_model l1);
+      Synthesizer.add_pass synth
+        (Passes.dependency (Builder.Random_range (1, 4)));
+      let p = Synthesizer.synthesize ~seed synth in
+      let run opmap =
+        let progs =
+          Array.init smt (fun thread ->
+              Core_sim.deploy ~uarch:u ~opmap
+                ~streams:(hand_streams ~thread ~footprint:64 ~lines:4) p)
+        in
+        Core_sim.run ~uarch:u ~opmap ~measure:8 progs
+      in
+      let fresh = Core_sim.opmap_create () in
+      let grown = Core_sim.opmap_create () in
+      List.iter
+        (fun n -> ignore (Core_sim.intern grown n))
+        (Mp_util.Rng.shuffle g all_names);
+      let r1 = run fresh and r2 = run grown in
+      named fresh r1 = named grown r2
+      && r1.Core_sim.threads = r2.Core_sim.threads
+      && r1.Core_sim.measured_cycles = r2.Core_sim.measured_cycles
+      && ascending r1.Core_sim.transitions
+      && ascending r2.Core_sim.transitions)
+
 let () =
   Alcotest.run "mp_sim"
     [
@@ -1395,6 +1645,12 @@ let () =
          Alcotest.test_case "name-insensitive keys" `Quick
            test_replay_name_insensitive;
          QCheck_alcotest.to_alcotest prop_replay_key_one_edit ]);
+      ("step loop",
+       [ Alcotest.test_case "golden activity digests" `Quick
+           test_golden_activity;
+         Alcotest.test_case "calendar beyond 16k cycles" `Quick
+           test_calendar_long_latency;
+         QCheck_alcotest.to_alcotest prop_local_ids_invisible ]);
       ("disk cache",
        [ Alcotest.test_case "round trip" `Quick test_disk_cache_roundtrip;
          Alcotest.test_case "shared across seeds" `Quick
