@@ -262,24 +262,32 @@ let ensure_dir dir = try Unix.mkdir dir 0o755 with _ -> ()
 
 let tmp_counter = Atomic.make 0
 
-(* write-to-temp + rename: readers never observe a partial entry, and
-   concurrent writers of the same key are both writing identical bytes.
-   The temp lives in the shard directory so the rename stays atomic
-   within one directory. *)
+(* write-to-temp + rename: readers never observe a partial file, and
+   concurrent writers of the same path are both writing identical
+   bytes. The temp, [.tmp.<pid>.<n>], lives in the destination's
+   directory so the rename stays atomic within one directory; a failed
+   write closes its channel and removes its temp before re-raising. *)
+let write_file path v =
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_counter 1))
+  in
+  let oc = open_out_bin tmp in
+  try
+    Marshal.to_channel oc v [];
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let disk_write disk key (m : Measurement.t) =
   try
     ensure_dir disk.dir;
-    let shard = shard_dir disk key in
-    ensure_dir shard;
-    let tmp =
-      Filename.concat shard
-        (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-           (Atomic.fetch_and_add tmp_counter 1))
-    in
-    let oc = open_out_bin tmp in
-    Marshal.to_channel oc (schema_version, key, m) [];
-    close_out oc;
-    Sys.rename tmp (entry_path disk key)
+    ensure_dir (shard_dir disk key);
+    write_file (entry_path disk key) (schema_version, key, m)
   with _ -> ()
 
 (* any failure — missing file, truncation, corruption, wrong version —

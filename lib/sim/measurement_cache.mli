@@ -99,6 +99,14 @@ val disk_stats : string -> disk_stats
     [mp-cache stat] prints. A missing directory reports all zeros;
     in-flight [.tmp.*] files are excluded, as everywhere else. *)
 
+val write_file : string -> 'a -> unit
+(** [write_file path v] marshals [v] to [path] atomically: it writes a
+    temp file [.tmp.<pid>.<n>] in [path]'s directory (the name {!gc} and
+    {!disk_stats} skip) and renames it into place, so readers never see
+    a partial file. If the write fails, the temp is closed and removed
+    and the exception re-raised. The cache entries and the
+    {!Replay} store are both written through it. *)
+
 val persistent : t -> bool
 
 type stats = {

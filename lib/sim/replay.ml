@@ -178,15 +178,7 @@ let disk_write dir key (r : record) =
   try
     let path = entry_path dir key in
     mkdir_p (Filename.dirname path);
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        (Hashtbl.hash (Domain.self ()))
-    in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Marshal.to_channel oc (schema_version, key, r) []);
-    Sys.rename tmp path
+    Measurement_cache.write_file path (schema_version, key, r)
   with _ -> () (* best-effort, like the measurement cache *)
 
 (* ----- activity <-> record conversion ------------------------------------ *)

@@ -6,7 +6,13 @@
    because jobs are whole simulations (milliseconds to seconds each)
    and queue traffic is never the bottleneck. Stealing is what keeps
    domains busy at batch tails, where one 8c-SMT4 simulation can
-   outlast a dozen 1c-SMT1 ones. *)
+   outlast a dozen 1c-SMT1 ones.
+
+   The domain that submits a batch is worker 0: it works its own deque
+   and steals like any other worker, so a pool of [n] spawns only
+   [n - 1] domains. A parked caller would still be a domain that every
+   stop-the-world minor collection has to synchronise, and on a small
+   machine that costs more than the caller's share of the work. *)
 
 module Deque = struct
   type 'a t = {
@@ -106,34 +112,31 @@ let find_work pool me =
     in
     scan 1
 
+(* Run jobs, own deque first, until no deque holds any *)
+let rec drain pool me =
+  match find_work pool me with
+  | Some job ->
+    job ();
+    drain pool me
+  | None -> ()
+
+(* The epoch is read before draining, so a batch submitted while this
+   worker drains is never slept through. *)
 let worker_loop pool me =
   Domain.DLS.set in_worker_key true;
   let rec loop () =
-    let seen =
-      Mutex.lock pool.lock;
-      let e = pool.epoch in
-      Mutex.unlock pool.lock;
-      e
-    in
-    match find_work pool me with
-    | Some job ->
-      job ();
-      loop ()
-    | None ->
-      Mutex.lock pool.lock;
-      while pool.epoch = seen && not pool.stop do
-        Condition.wait pool.nonempty pool.lock
-      done;
-      let stopping = pool.stop in
-      Mutex.unlock pool.lock;
-      if stopping then
-        (* drain whatever is still queued, then exit *)
-        match find_work pool me with
-        | Some job ->
-          job ();
-          loop ()
-        | None -> ()
-      else loop ()
+    Mutex.lock pool.lock;
+    let seen = pool.epoch in
+    Mutex.unlock pool.lock;
+    drain pool me;
+    Mutex.lock pool.lock;
+    while pool.epoch = seen && not pool.stop do
+      Condition.wait pool.nonempty pool.lock
+    done;
+    let stopping = pool.stop in
+    Mutex.unlock pool.lock;
+    if stopping then drain pool me (* whatever is still queued *)
+    else loop ()
   in
   loop ()
 
@@ -153,9 +156,10 @@ let create n =
       seq_batches = Atomic.make 0;
     }
   in
-  if size > 1 then
-    pool.workers <-
-      List.init size (fun i -> Domain.spawn (fun () -> worker_loop pool i));
+  (* worker 0 is whichever domain calls [map] *)
+  pool.workers <-
+    List.init (size - 1) (fun i ->
+        Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
 let size t = t.size
@@ -288,6 +292,13 @@ let map ?cost ?min_jobs_per_core pool f xs =
       pool.epoch <- pool.epoch + 1;
       Condition.broadcast pool.nonempty;
       Mutex.unlock pool.lock;
+      (* the caller works as worker 0 — flagged as a worker so nested
+         maps inside its jobs stay sequential — and only then waits for
+         the jobs still running on other domains *)
+      Domain.DLS.set in_worker_key true;
+      Fun.protect
+        ~finally:(fun () -> Domain.DLS.set in_worker_key false)
+        (fun () -> drain pool 0);
       Mutex.lock done_lock;
       while !remaining > 0 do
         Condition.wait done_cond done_lock

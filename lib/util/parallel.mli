@@ -11,7 +11,9 @@
     and an idle worker steals from the back of another's (the two ends
     of a Chase-Lev deque, mutex-guarded). Stealing keeps domains busy
     at batch tails, where job costs are heavily skewed — an 8-core/SMT4
-    simulation costs ~10x a 1-core/SMT1 one.
+    simulation costs ~10x a 1-core/SMT1 one. The domain that calls
+    {!map} is worker 0: it works through its own deque and steals like
+    the others before it waits for the jobs still running elsewhere.
 
     Semantics:
     - {!map} and {!map_chunked} preserve the order of the input list;
@@ -36,11 +38,15 @@
 type t
 
 val create : int -> t
-(** [create n] spawns a pool of [n] worker domains (clamped to at
-    least 1; a size-1 pool spawns no domains and runs sequentially). *)
+(** [create n] makes a pool of [n] workers (clamped to at least 1):
+    [n] domains compute every batch that fans out. The caller of {!map}
+    is worker 0, so only [n - 1] domains are spawned; a size-1 pool
+    spawns none and runs sequentially. The caller counts as a worker
+    ({!in_worker} is true) while it runs jobs, and is restored
+    afterwards, also when a job raised. *)
 
 val size : t -> int
-(** Number of workers ([1] means sequential). *)
+(** Number of workers, the caller included ([1] means sequential). *)
 
 val steal_count : t -> int
 (** Total jobs executed by a worker other than the one they were dealt
@@ -123,7 +129,9 @@ val serial_fallbacks : t -> int
     fallback, nested calls, or a size-1 pool. *)
 
 val in_worker : unit -> bool
-(** True when called from inside a pool worker (nested maps degrade). *)
+(** True when called from inside a pool job — on a spawned worker, or
+    on the caller while it works its share of a batch (nested maps
+    degrade). *)
 
 val detected_cores : unit -> int
 (** Cores available to this process

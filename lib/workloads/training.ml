@@ -18,9 +18,19 @@ type family = {
 let smt1_config arch =
   Mp_uarch.Uarch_def.config ~cores:1 ~smt:1 arch.Arch.uarch
 
-let measure_ipc ~machine ~arch program =
-  let m = Mp_sim.Machine.run machine (smt1_config arch) program in
-  m.Mp_sim.Measurement.core_ipc
+(* Every generator measures whole populations at once: one
+   [Machine.run_batch] fans the programs out over the domain pool, and
+   its results are bit-identical to measuring them one at a time. *)
+let measure_ipcs ~machine ~arch programs =
+  let config = smt1_config arch in
+  Mp_sim.Machine.run_batch machine (List.map (fun p -> (config, p)) programs)
+  |> List.map (fun m -> m.Mp_sim.Measurement.core_ipc)
+
+let measured ~machine ~arch ~target_ipc programs =
+  List.map2
+    (fun program achieved_ipc -> { program; target_ipc; achieved_ipc })
+    programs
+    (measure_ipcs ~machine ~arch programs)
 
 (* ----- GA-driven IPC targeting ----------------------------------------- *)
 
@@ -79,11 +89,14 @@ let ipc_family ~machine ~arch ~name ~units ~description ~candidates ~targets
     List.map
       (fun target ->
         let bench_name = Printf.sprintf "%s-ipc%.1f" name target in
-        let eval g =
-          let p = genome_program ~arch ~name:bench_name ~size ~candidates g in
-          let ipc = measure_ipc ~machine ~arch p in
-          -.Float.abs (ipc -. target)
+        let program g =
+          genome_program ~arch ~name:bench_name ~size ~candidates g
         in
+        let eval_batch gs =
+          measure_ipcs ~machine ~arch (List.map program gs)
+          |> List.map (fun ipc -> -.Float.abs (ipc -. target))
+        in
+        let eval g = List.hd (eval_batch [ g ]) in
         let rng = Mp_util.Rng.create (Hashtbl.hash bench_name) in
         (* seed one uniform-mix genome per dependency mode so that
            chain-limited low-IPC regions are always reachable *)
@@ -92,14 +105,11 @@ let ipc_family ~machine ~arch ~name ~units ~description ~candidates ~targets
               { weights = Array.make n 0.5; dep = d })
         in
         let result =
-          Mp_dse.Genetic.search ~rng ~ops ~eval ~population ~generations
-            ~elite:2 ~seeds ()
+          Mp_dse.Genetic.search ~rng ~ops ~eval ~eval_batch ~population
+            ~generations ~elite:2 ~seeds ()
         in
-        let g = result.Mp_dse.Driver.best.Mp_dse.Driver.point in
-        let program = genome_program ~arch ~name:bench_name ~size ~candidates g in
-        { program;
-          target_ipc = Some target;
-          achieved_ipc = measure_ipc ~machine ~arch program })
+        let best = program result.Mp_dse.Driver.best.Mp_dse.Driver.point in
+        List.hd (measured ~machine ~arch ~target_ipc:(Some target) [ best ]))
       targets
   in
   { family_name = name; units; description; entries }
@@ -120,7 +130,7 @@ let memory_family ~machine ~arch ~name ~description ~loads_only ~distribution
     if loads_only then load_candidates arch
     else load_candidates arch @ store_candidates arch
   in
-  let entries =
+  let programs =
     List.init count (fun k ->
         let bench_name = Printf.sprintf "%s-%d" name k in
         let synth = Synthesizer.create ~name:bench_name arch in
@@ -130,12 +140,10 @@ let memory_family ~machine ~arch ~name ~description ~loads_only ~distribution
         Synthesizer.add_pass synth (Passes.dependency Builder.No_deps);
         Synthesizer.add_pass synth (Passes.init_registers Builder.Random_values);
         Synthesizer.add_pass synth (Passes.rename bench_name);
-        let program = Synthesizer.synthesize ~seed:(Hashtbl.hash bench_name) synth in
-        { program;
-          target_ipc = None;
-          achieved_ipc = measure_ipc ~machine ~arch program })
+        Synthesizer.synthesize ~seed:(Hashtbl.hash bench_name) synth)
   in
-  { family_name = name; units = "LSU + caches"; description; entries }
+  { family_name = name; units = "LSU + caches"; description;
+    entries = measured ~machine ~arch ~target_ipc:None programs }
 
 (* ----- random family ----------------------------------------------------- *)
 
@@ -153,7 +161,7 @@ let random_family ~machine ~arch ~count ?(size = 512) () =
   let candidates = Array.of_list (usable arch) in
   let loads = Array.of_list (load_candidates arch) in
   let stores = Array.of_list (store_candidates arch) in
-  let entries =
+  let programs =
     List.init count (fun k ->
         let bench_name = Printf.sprintf "random-%d" k in
         let rng = Mp_util.Rng.create (Hashtbl.hash bench_name) in
@@ -179,13 +187,11 @@ let random_family ~machine ~arch ~count ?(size = 512) () =
              (Builder.Random_range (1, 2 + Mp_util.Rng.int rng 7)));
         Synthesizer.add_pass synth (Passes.init_registers Builder.Random_values);
         Synthesizer.add_pass synth (Passes.rename bench_name);
-        let program = Synthesizer.synthesize ~seed:(Hashtbl.hash bench_name) synth in
-        { program;
-          target_ipc = None;
-          achieved_ipc = measure_ipc ~machine ~arch program })
+        Synthesizer.synthesize ~seed:(Hashtbl.hash bench_name) synth)
   in
   { family_name = "Random"; units = "Unknown";
-    description = "Random micro-benchmarks"; entries }
+    description = "Random micro-benchmarks";
+    entries = measured ~machine ~arch ~target_ipc:None programs }
 
 (* ----- the Table 2 suite ------------------------------------------------- *)
 

@@ -161,6 +161,105 @@ let test_nested_map_degrades () =
     [ [ 1; 2; 3 ]; [ 2; 4; 6 ] ]
     r
 
+(* ----- the caller as worker 0 ----------------------------------------------- *)
+
+let self_id () = (Domain.self () :> int)
+
+let test_caller_is_worker_zero () =
+  (* a pool of n computes on at most n domains, the caller's among them:
+     it spawns n - 1 and the caller works its own deque *)
+  List.iter
+    (fun n ->
+      let pool = Mp_util.Parallel.create n in
+      let ids =
+        Mp_util.Parallel.map ~min_jobs_per_core:0. pool
+          (fun _ ->
+            Unix.sleepf 0.002;
+            self_id ())
+          (List.init (8 * n) Fun.id)
+      in
+      Mp_util.Parallel.shutdown pool;
+      let distinct = List.sort_uniq compare ids in
+      Alcotest.(check bool)
+        (Printf.sprintf "pool of %d: at most %d domains" n n)
+        true
+        (List.length distinct <= n);
+      Alcotest.(check bool)
+        (Printf.sprintf "pool of %d: the caller ran jobs" n)
+        true
+        (List.mem (self_id ()) distinct))
+    [ 2; 3 ]
+
+let test_caller_in_worker_restored () =
+  let pool = Mp_util.Parallel.create 2 in
+  let r = Mp_util.Parallel.map pool (fun x -> x + 1) (List.init 8 Fun.id) in
+  Alcotest.(check (list int)) "results" (List.init 8 (( + ) 1)) r;
+  Alcotest.(check bool) "not a worker after map" false
+    (Mp_util.Parallel.in_worker ());
+  (* job 0 is dealt to the caller's deque and fails after the others;
+     the flag is restored and the lowest-indexed failure still wins *)
+  let raised =
+    try
+      ignore
+        (Mp_util.Parallel.map pool
+           (fun x ->
+             if x = 0 then Unix.sleepf 0.01;
+             if x mod 3 = 0 then raise (Boom x) else x)
+           (List.init 12 Fun.id));
+      None
+    with Boom n -> Some n
+  in
+  Alcotest.(check (option int)) "lowest failure" (Some 0) raised;
+  Alcotest.(check bool) "not a worker after a failed batch" false
+    (Mp_util.Parallel.in_worker ());
+  (* a failure only on another domain's deque: job 1 is dealt to
+     worker 1 *)
+  let raised =
+    try
+      ignore
+        (Mp_util.Parallel.map pool
+           (fun x ->
+             Unix.sleepf 0.001;
+             if x = 1 then raise (Boom x) else x)
+           (List.init 6 Fun.id));
+      None
+    with Boom n -> Some n
+  in
+  Alcotest.(check (option int)) "worker failure re-raised" (Some 1) raised;
+  Alcotest.(check bool) "still not a worker" false
+    (Mp_util.Parallel.in_worker ());
+  Mp_util.Parallel.shutdown pool
+
+let test_caller_nested_map_sequential () =
+  (* a map issued from a job the caller runs stays on the caller's
+     domain, like one issued from a spawned worker *)
+  let pool = Mp_util.Parallel.create 2 in
+  let caller = self_id () in
+  let r =
+    Mp_util.Parallel.map pool
+      (fun x ->
+        Unix.sleepf 0.002;
+        let outer = self_id () in
+        let inner =
+          Mp_util.Parallel.map ~min_jobs_per_core:0. pool
+            (fun y -> (self_id (), x * y))
+            [ 1; 2; 3; 4 ]
+        in
+        (outer, inner))
+      (List.init 6 Fun.id)
+  in
+  Mp_util.Parallel.shutdown pool;
+  Alcotest.(check bool) "the caller ran some outer jobs" true
+    (List.exists (fun (outer, _) -> outer = caller) r);
+  List.iteri
+    (fun x (outer, inner) ->
+      Alcotest.(check (list int)) "nested results"
+        (List.map (fun y -> x * y) [ 1; 2; 3; 4 ])
+        (List.map snd inner);
+      Alcotest.(check bool) "nested jobs ran on the outer job's domain" true
+        (List.for_all (fun (d, _) -> d = outer) inner))
+    r
+
 let test_default_size_env () =
   Unix.putenv "MP_POOL_SIZE" "3";
   (* an explicit pin is honoured verbatim, even past the core count *)
@@ -699,7 +798,13 @@ let () =
          Alcotest.test_case "steal counter" `Quick test_steal_counter;
          Alcotest.test_case "nested map degrades" `Quick
            test_nested_map_degrades;
-         Alcotest.test_case "MP_POOL_SIZE" `Quick test_default_size_env ]);
+         Alcotest.test_case "MP_POOL_SIZE" `Quick test_default_size_env;
+         Alcotest.test_case "caller is worker 0" `Quick
+           test_caller_is_worker_zero;
+         Alcotest.test_case "caller in_worker restored" `Quick
+           test_caller_in_worker_restored;
+         Alcotest.test_case "caller nested map sequential" `Quick
+           test_caller_nested_map_sequential ]);
       ("adaptive fan-out",
        [ Alcotest.test_case "effective width" `Quick test_effective_width;
          Alcotest.test_case "worthwhile predicate" `Quick test_worthwhile;

@@ -600,6 +600,29 @@ let test_replay_store_concurrent_writers () =
    | None -> Alcotest.fail "record not served from the replay store");
   Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
 
+let test_write_file_failure_cleans_up () =
+  let mkdir d =
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  in
+  let dir = fresh_dir "wrfail" in
+  mkdir dir;
+  let ok = Filename.concat dir "entry" in
+  Measurement_cache.write_file ok (1, "payload");
+  Alcotest.(check bool) "written" true (Sys.file_exists ok);
+  (* renaming a file onto a non-empty directory fails after the temp
+     was written: the temp must not outlive the failure *)
+  let blocker = Filename.concat dir "blocker" in
+  mkdir blocker;
+  Measurement_cache.write_file (Filename.concat blocker "x") 0;
+  let raised =
+    try
+      Measurement_cache.write_file blocker (2, "payload");
+      false
+    with Sys_error _ -> true
+  in
+  Alcotest.(check bool) "failed rename raises" true raised;
+  Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
+
 (* ----- multi-process batches ------------------------------------------------ *)
 
 let test_procs_batch_matches_serial () =
@@ -1659,6 +1682,8 @@ let () =
            test_disk_cache_corrupt_skipped;
          Alcotest.test_case "concurrent writers" `Quick
            test_disk_cache_concurrent_writers;
+         Alcotest.test_case "failed write removes its temp" `Quick
+           test_write_file_failure_cleans_up;
          Alcotest.test_case "replay store concurrent writers" `Quick
            test_replay_store_concurrent_writers;
          Alcotest.test_case "single flight" `Quick test_single_flight;

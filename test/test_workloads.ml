@@ -191,6 +191,69 @@ let test_ipc_family_ga_targets () =
           (Float.abs (e.achieved_ipc -. t) < 0.25))
     fam.Mp_workloads.Training.entries
 
+(* A digest of (program name, body hash, achieved-IPC bits) over a small
+   family: any change to the programs a generator emits, to the GA's
+   trajectory or to the measured IPC moves it. The pinned values were
+   computed on the one-program-at-a-time generators that preceded the
+   batched ones, so batching is shown not to change a single bit. *)
+let family_digest (fam : Mp_workloads.Training.family) =
+  fam.Mp_workloads.Training.entries
+  |> List.map (fun (e : Mp_workloads.Training.entry) ->
+         Printf.sprintf "%s|%Lx|%Lx" e.program.Ir.name (Ir.body_hash e.program)
+           (Int64.bits_of_float e.achieved_ipc))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let small_ipc_family a machine =
+  let complex_ints =
+    Arch.select a (fun i ->
+        i.Mp_isa.Instruction.exec_class = Mp_isa.Instruction.Complex_int)
+  in
+  Mp_workloads.Training.ipc_family ~machine ~arch:a ~name:"pin" ~units:"FXU"
+    ~description:"t" ~candidates:complex_ints ~targets:[ 0.4; 0.9 ] ~size:128
+    ~population:4 ~generations:2 ()
+
+let small_synthesized_families a machine =
+  [ Mp_workloads.Training.memory_family ~machine ~arch:a ~name:"pin-mem"
+      ~description:"t" ~loads_only:false
+      ~distribution:[ (Cache_geometry.L1, 0.5); (Cache_geometry.L2, 0.5) ]
+      ~count:3 ~size:128 ();
+    Mp_workloads.Training.random_family ~machine ~arch:a ~count:4 ~size:128 () ]
+
+let test_training_digests_pinned () =
+  let a = arch () in
+  let machine = Mp_sim.Machine.create a.Arch.uarch in
+  let digests =
+    List.map family_digest
+      (small_ipc_family a machine :: small_synthesized_families a machine)
+  in
+  List.iter2
+    (fun (label, expected) got -> Alcotest.(check string) label expected got)
+    [ ("ipc family", "0061d5797cfa352825dde03cc7e508c2");
+      ("memory family", "5b755a5ed27fcc31e798f2d44cd7d340");
+      ("random family", "a6bd373a37c2a8db8fca8f26f435ed55") ]
+    digests
+
+let test_training_ipc_matches_run () =
+  (* every batched memory and random measurement equals a lone
+     Machine.run on a fresh, uncached machine *)
+  let a = arch () in
+  let machine = Mp_sim.Machine.create a.Arch.uarch in
+  let fresh = Mp_sim.Machine.create ~cache:false a.Arch.uarch in
+  let cfg = Uarch_def.config ~cores:1 ~smt:1 a.Arch.uarch in
+  List.iter
+    (fun (fam : Mp_workloads.Training.family) ->
+      List.iter
+        (fun (e : Mp_workloads.Training.entry) ->
+          let m = Mp_sim.Machine.run fresh cfg e.program in
+          Alcotest.(check bool)
+            (e.program.Ir.name ^ " achieved_ipc = Machine.run")
+            true
+            (Int64.equal
+               (Int64.bits_of_float e.achieved_ipc)
+               (Int64.bits_of_float m.Mp_sim.Measurement.core_ipc)))
+        fam.Mp_workloads.Training.entries)
+    (small_synthesized_families a machine)
+
 let test_table2_quick_shape () =
   let a = arch () in
   let machine = Mp_sim.Machine.create a.Arch.uarch in
@@ -238,6 +301,9 @@ let () =
          Alcotest.test_case "daxpy" `Quick test_daxpy ]);
       ("training",
        [ Alcotest.test_case "memory family" `Quick test_memory_family;
+         Alcotest.test_case "digests pinned" `Quick test_training_digests_pinned;
+         Alcotest.test_case "achieved ipc = Machine.run" `Quick
+           test_training_ipc_matches_run;
          Alcotest.test_case "GA IPC targets" `Slow test_ipc_family_ga_targets;
          Alcotest.test_case "table2 quick" `Slow test_table2_quick_shape ]);
     ]
