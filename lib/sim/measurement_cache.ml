@@ -11,8 +11,10 @@ open Mp_codegen
    arithmetic) and seed-independent measurements drop the seed from the
    key.
    v3: keys are structural-hash folds (not Marshal+MD5 digests) and
-   entries live in two-hex-digit shard subdirectories. *)
-let schema_version = 3
+   entries live in two-hex-digit shard subdirectories.
+   v4: entries are frames in per-process append-only segments
+   ({!Mp_util.Disk_log}), not one file each. *)
+let schema_version = 4
 
 type disk = { dir : string; namespace : string }
 
@@ -56,81 +58,61 @@ let env_disk () =
   if cache_enabled () then Some { dir = env_dir (); namespace = namespace () }
   else None
 
-(* Entries shard into subdirectories named by the first two hex digits
-   of the key, so a very large cache never accumulates one enormous
-   flat directory (readdir/gc stay fast). The flat layout earlier
-   versions wrote is still read — and migrated into its shard — by
-   [disk_read]. *)
-let shard_of key = if String.length key >= 2 then String.sub key 0 2 else "00"
-
-let entry_name disk key = disk.namespace ^ "-" ^ key
-
-let shard_dir disk key = Filename.concat disk.dir (shard_of key)
-
-let entry_path disk key = Filename.concat (shard_dir disk key) (entry_name disk key)
-
-(* where the pre-shard flat layout would have put this entry *)
-let legacy_path disk key = Filename.concat disk.dir (entry_name disk key)
+(* The two stores a cache directory holds: the measurement cache's
+   segments in the root, the replay store's in [replay/]. *)
+let store_dirs dir = [ dir; Filename.concat dir "replay" ]
 
 let is_dir path = match Sys.is_directory path with d -> d | exception _ -> false
 
-(* a shard subdirectory is exactly two hex digits *)
-let is_shard_name f =
-  String.length f = 2
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       f
-
-(* Drop entries left behind by other builds — at most once per
-   directory per process, best-effort. *)
+(* Drop what other builds left behind — at most once per directory per
+   process, best-effort: every file outside this namespace in either
+   store, and the two-hex-digit shard subdirectories that schema v3 and
+   earlier wrote per-entry files into, once emptied. Nothing else is
+   descended into: [MP_CACHE_DIR] may name a directory that holds more
+   than the cache. *)
 let pruned_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
 let pruned_lock = Mutex.create ()
 
-let prune_dir_files dir namespace =
-  match Sys.readdir dir with
-  | exception _ -> ()
-  | fs ->
-    Array.iter
-      (fun f ->
-        let path = Filename.concat dir f in
-        if not (is_dir path) then begin
-          let keep =
-            String.length f > String.length namespace
-            && String.sub f 0 (String.length namespace) = namespace
-          in
-          if not keep then try Sys.remove path with _ -> ()
-        end)
-      fs
+let once_per_process tbl dir =
+  Mutex.protect pruned_lock (fun () ->
+      let fresh = not (Hashtbl.mem tbl dir) in
+      if fresh then Hashtbl.add tbl dir ();
+      fresh)
+
+let is_v3_shard f =
+  String.length f = 2
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) f
 
 let prune_stale disk =
-  Mutex.lock pruned_lock;
-  let fresh = not (Hashtbl.mem pruned_dirs disk.dir) in
-  if fresh then Hashtbl.add pruned_dirs disk.dir ();
-  Mutex.unlock pruned_lock;
-  if fresh then begin
-    (* flat legacy entries in the root, then every shard *)
-    prune_dir_files disk.dir disk.namespace;
-    match Sys.readdir disk.dir with
+  let prefix = disk.namespace ^ "-" in
+  let rec prune ~shards d =
+    match Sys.readdir d with
     | exception _ -> ()
     | fs ->
       Array.iter
         (fun f ->
-          let sub = Filename.concat disk.dir f in
-          if is_shard_name f && is_dir sub then
-            prune_dir_files sub disk.namespace)
+          let path = Filename.concat d f in
+          if not (is_dir path) then begin
+            if not (String.starts_with ~prefix f) then
+              try Sys.remove path with _ -> ()
+          end
+          else if shards && is_v3_shard f then begin
+            prune ~shards:false path;
+            try Unix.rmdir path with _ -> ()
+          end)
         fs
-  end
+  in
+  if once_per_process pruned_dirs disk.dir then
+    List.iter (prune ~shards:true) (store_dirs disk.dir)
 
 (* ----- housekeeping ------------------------------------------------------ *)
 
-(* A cache directory grows without bound: the current build's entries
+(* A cache directory grows without bound: the current build's segments
    accumulate across runs and every rebuild starts a fresh namespace.
-   [gc] bounds it by total size, evicting in oldest-mtime order (a
-   cheap LRU proxy: [find] never touches mtime, so "oldest" means
-   "written longest ago", which across builds and long campaigns is the
-   entry least likely to be asked for again). In-flight writes —
-   [.tmp.*] files, which [disk_write] renames into place when complete
-   — are never touched. *)
+   [gc] bounds both stores together by total size, evicting whole
+   segments in oldest-mtime order. A segment's mtime is its last
+   append, so "oldest" means "written longest ago" — across builds and
+   long campaigns, the data least likely to be asked for again. *)
 
 type gc_stats = {
   entries : int;
@@ -138,8 +120,6 @@ type gc_stats = {
   bytes_before : int;
   bytes_after : int;
 }
-
-let is_tmp f = String.length f >= 5 && String.sub f 0 5 = ".tmp."
 
 let env_max_bytes () =
   match Sys.getenv_opt "MP_CACHE_MAX_MB" with
@@ -155,93 +135,52 @@ let gc ?max_bytes dir =
     | Some b -> max 0 b
     | None -> (match env_max_bytes () with Some b -> b | None -> max_int)
   in
-  let files =
-    match Sys.readdir dir with exception _ -> [||] | fs -> fs
-  in
-  (* entry files in [d], named relative to the cache root for the
-     deterministic tie-break *)
-  let scan d rel =
+  let segments d =
     match Sys.readdir d with
     | exception _ -> []
     | fs ->
       Array.to_list fs
       |> List.filter_map (fun f ->
-             if is_tmp f then None
-             else
-               let path = Filename.concat d f in
-               let rel = if rel = "" then f else Filename.concat rel f in
-               match Unix.stat path with
-               | exception _ -> None
-               | st when st.Unix.st_kind = Unix.S_REG ->
-                 Some (st.Unix.st_mtime, rel, path, st.Unix.st_size)
-               | _ -> None)
+             let path = Filename.concat d f in
+             match Unix.stat path with
+             | st
+               when Mp_util.Disk_log.is_segment f
+                    && st.Unix.st_kind = Unix.S_REG ->
+               Some (st.Unix.st_mtime, path, st.Unix.st_size)
+             | _ | (exception _) -> None)
   in
-  let entries =
-    scan dir ""
-    @ (Array.to_list files
-      |> List.concat_map (fun f ->
-             if is_shard_name f && is_dir (Filename.concat dir f) then
-               scan (Filename.concat dir f) f
-             else []))
-  in
-  (* oldest first; name breaks mtime ties so eviction is deterministic *)
-  let entries = List.sort compare entries in
-  let bytes_before =
-    List.fold_left (fun acc (_, _, _, sz) -> acc + sz) 0 entries
-  in
+  (* oldest first; the path breaks mtime ties so eviction is
+     deterministic *)
+  let segs = List.sort compare (List.concat_map segments (store_dirs dir)) in
+  let bytes_before = List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 segs in
   let total = ref bytes_before in
   let removed = ref 0 in
   List.iter
-    (fun (_, _, path, sz) ->
+    (fun (_, path, sz) ->
       if !total > max_bytes then
         match Sys.remove path with
         | () ->
           total := !total - sz;
           incr removed
         | exception _ -> ())
-    entries;
+    segs;
   {
-    entries = List.length entries;
+    entries = List.length segs;
     removed = !removed;
     bytes_before;
     bytes_after = !total;
   }
 
-(* Read-only counterpart to [gc]'s scan, for the `mp-cache stat` CLI:
-   how many shard subdirectories, entry files and bytes a directory
-   holds. In-flight [.tmp.*] files are excluded, like everywhere
-   else. *)
-type disk_stats = { ds_shards : int; ds_entries : int; ds_bytes : int }
+(* Read-only counterpart to [gc]'s scan, for the `mp-cache stat` CLI. *)
+type disk_stats = { ds_segments : int; ds_entries : int; ds_bytes : int }
 
 let disk_stats dir =
-  let count d (entries, bytes) =
-    match Sys.readdir d with
-    | exception _ -> (entries, bytes)
-    | fs ->
-      Array.fold_left
-        (fun (entries, bytes) f ->
-          if is_tmp f then (entries, bytes)
-          else
-            match Unix.stat (Filename.concat d f) with
-            | exception _ -> (entries, bytes)
-            | st when st.Unix.st_kind = Unix.S_REG ->
-              (entries + 1, bytes + st.Unix.st_size)
-            | _ -> (entries, bytes))
-        (entries, bytes) fs
-  in
-  let acc = count dir (0, 0) in
-  let shards, (entries, bytes) =
-    match Sys.readdir dir with
-    | exception _ -> (0, acc)
-    | fs ->
-      Array.fold_left
-        (fun (shards, acc) f ->
-          let sub = Filename.concat dir f in
-          if is_shard_name f && is_dir sub then (shards + 1, count sub acc)
-          else (shards, acc))
-        (0, acc) fs
-  in
-  { ds_shards = shards; ds_entries = entries; ds_bytes = bytes }
+  let s = Mp_util.Disk_log.dir_stats dir in
+  {
+    ds_segments = s.Mp_util.Disk_log.segments;
+    ds_entries = s.Mp_util.Disk_log.keys;
+    ds_bytes = s.Mp_util.Disk_log.bytes;
+  }
 
 (* Enforce the MP_CACHE_MAX_MB bound automatically — at most once per
    directory per process, like [prune_stale], so repeated
@@ -250,78 +189,20 @@ let gced_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
 
 let gc_auto disk =
   match env_max_bytes () with
-  | None -> ()
-  | Some b ->
-    Mutex.lock pruned_lock;
-    let fresh = not (Hashtbl.mem gced_dirs disk.dir) in
-    if fresh then Hashtbl.add gced_dirs disk.dir ();
-    Mutex.unlock pruned_lock;
-    if fresh then ignore (gc ~max_bytes:b disk.dir)
+  | Some b when once_per_process gced_dirs disk.dir ->
+    ignore (gc ~max_bytes:b disk.dir)
+  | _ -> ()
 
-let ensure_dir dir = try Unix.mkdir dir 0o755 with _ -> ()
+let log_of_disk disk =
+  Mp_util.Disk_log.shared ~dir:disk.dir ~namespace:disk.namespace
 
-let tmp_counter = Atomic.make 0
+(* any failure — missing segment, truncation, corruption, wrong
+   version — is a miss, never an error *)
+let disk_read log key : Measurement.t option =
+  Mp_util.Disk_log.find log ~schema:schema_version key
 
-(* write-to-temp + rename: readers never observe a partial file, and
-   concurrent writers of the same path are both writing identical
-   bytes. The temp, [.tmp.<pid>.<n>], lives in the destination's
-   directory so the rename stays atomic within one directory; a failed
-   write closes its channel and removes its temp before re-raising. *)
-let write_file path v =
-  let tmp =
-    Filename.concat (Filename.dirname path)
-      (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_counter 1))
-  in
-  let oc = open_out_bin tmp in
-  try
-    Marshal.to_channel oc v [];
-    close_out oc;
-    Sys.rename tmp path
-  with e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
-let disk_write disk key (m : Measurement.t) =
-  try
-    ensure_dir disk.dir;
-    ensure_dir (shard_dir disk key);
-    write_file (entry_path disk key) (schema_version, key, m)
-  with _ -> ()
-
-(* any failure — missing file, truncation, corruption, wrong version —
-   is a miss, never an error *)
-let read_entry key path : Measurement.t option =
-  match open_in_bin path with
-  | exception _ -> None
-  | ic ->
-    let r =
-      try
-        let (v : int), (k : string), (m : Measurement.t) =
-          Marshal.from_channel ic
-        in
-        if v = schema_version && k = key then Some m else None
-      with _ -> None
-    in
-    close_in_noerr ic;
-    r
-
-let disk_read disk key : Measurement.t option =
-  match read_entry key (entry_path disk key) with
-  | Some m -> Some m
-  | None ->
-    (* flat legacy layout: serve the entry and migrate it into its
-       shard, best-effort (a racing migrator renames identical bytes,
-       so either rename winning is fine) *)
-    (match read_entry key (legacy_path disk key) with
-     | None -> None
-     | Some m ->
-       (try
-          ensure_dir (shard_dir disk key);
-          Sys.rename (legacy_path disk key) (entry_path disk key)
-        with _ -> ());
-       Some m)
+let disk_write log key (m : Measurement.t) =
+  Mp_util.Disk_log.append log ~schema:schema_version key m
 
 (* ----- the cache --------------------------------------------------------- *)
 
@@ -330,7 +211,7 @@ type t = {
   table : (string, Measurement.t) Hashtbl.t;
   pending : (string, unit) Hashtbl.t;  (* keys being computed right now *)
   resolved : Condition.t;  (* signalled when a pending key settles *)
-  disk : disk option;
+  log : Mp_util.Disk_log.t option;
   mutable hits : int;
   mutable misses : int;
   mutable disk_hits : int;
@@ -346,13 +227,13 @@ let create ?disk () =
     table = Hashtbl.create 256;
     pending = Hashtbl.create 8;
     resolved = Condition.create ();
-    disk;
+    log = Option.map log_of_disk disk;
     hits = 0;
     misses = 0;
     disk_hits = 0;
   }
 
-let persistent t = t.disk <> None
+let persistent t = t.log <> None
 
 let stats t =
   Mutex.lock t.lock;
@@ -541,7 +422,7 @@ let find t k =
     Mutex.unlock t.lock;
     (* the disk probe runs outside the lock: it is pure IO and two
        racing probes of the same key load identical bytes *)
-    let from_disk = Option.bind t.disk (fun d -> disk_read d k) in
+    let from_disk = Option.bind t.log (fun l -> disk_read l k) in
     Mutex.lock t.lock;
     (match from_disk with
      | Some m ->
@@ -557,7 +438,7 @@ let add t k m =
   let first = not (Hashtbl.mem t.table k) in
   if first then Hashtbl.add t.table k m;
   Mutex.unlock t.lock;
-  if first then Option.iter (fun d -> disk_write d k m) t.disk
+  if first then Option.iter (fun l -> disk_write l k m) t.log
 
 (* Single-flight: concurrent misses on the same key run [compute] at
    most once — the first claimant computes, everyone else blocks on
@@ -590,7 +471,7 @@ let rec find_or_add t k compute =
       Hashtbl.add t.pending k ();
       Mutex.unlock t.lock;
       (* the disk probe and the computation both run outside the lock *)
-      match Option.bind t.disk (fun d -> disk_read d k) with
+      match Option.bind t.log (fun l -> disk_read l k) with
       | Some m ->
         Mutex.lock t.lock;
         t.hits <- t.hits + 1;
@@ -618,6 +499,6 @@ let rec find_or_add t k compute =
         Hashtbl.remove t.pending k;
         Condition.broadcast t.resolved;
         Mutex.unlock t.lock;
-        Option.iter (fun d -> disk_write d k m) t.disk;
+        Option.iter (fun l -> disk_write l k m) t.log;
         m
     end

@@ -20,20 +20,17 @@
     {2 Disk persistence}
 
     A cache created with [~disk] also persists entries under
-    [disk.dir], one file per entry ([namespace ^ "-" ^ key], written to
-    a temp file and renamed so readers never see partial entries), and
-    consults the directory on in-memory misses — repeated harness
-    invocations skip every point a previous run already simulated.
-    Entries shard into subdirectories named by the first two hex digits
-    of the key ([disk.dir/ab/<namespace>-<key>]) so huge caches never
-    accumulate one enormous flat directory; entries written by earlier
-    versions into the flat root are still read, and migrated into their
-    shard on first access. The namespace stamps the schema version
-    {e and a digest of the running executable}: entries written by a
-    different build are ignored (and pruned on first use), because a
-    rebuilt simulator may map the same key to a different measurement.
-    Corrupt, truncated or wrong-version files are treated as misses,
-    never errors.
+    [disk.dir] and consults the directory on in-memory misses —
+    repeated harness invocations skip every point a previous run
+    already simulated. Entries are frames appended to one segment per
+    process ([<namespace>-<pid>-<nonce>.seg], see {!Mp_util.Disk_log}),
+    so persisting a measurement costs one buffered append rather than
+    a file creation. The namespace stamps the schema version {e and a
+    digest of the running executable}: entries written by a different
+    build are ignored (and pruned on first use), because a rebuilt
+    simulator may map the same key to a different measurement. Torn,
+    corrupt or wrong-version frames are misses, never errors; only
+    checksum-verified bytes are unmarshalled.
 
     All operations are domain-safe: the table is guarded by a mutex so
     a {!Machine.run_batch} fan-out can share one cache. *)
@@ -57,19 +54,21 @@ val env_disk : unit -> disk option
 
 val create : ?disk:disk -> unit -> t
 (** [create ()] is purely in-memory; [create ~disk ()] also reads and
-    writes [disk.dir] (created on first write; stale-namespace entries
-    are pruned once per process, and when [MP_CACHE_MAX_MB] is set the
-    directory is {!gc}'d down to that bound once per process). *)
+    writes [disk.dir] (created on first write). Once per process, files
+    of other namespaces are pruned from the directory and its [replay/]
+    store, and when [MP_CACHE_MAX_MB] is set both are {!gc}'d down to
+    that bound. *)
 
 (** {2 Housekeeping}
 
     The directory otherwise grows without limit: the current build's
-    entries accumulate across runs, and every rebuild opens a fresh
-    namespace. *)
+    segments accumulate across runs, and every rebuild opens a fresh
+    namespace. Both functions cover the measurement cache (the
+    directory itself) and the replay store ([replay/] inside it). *)
 
 type gc_stats = {
-  entries : int;      (** entry files examined (in-flight temps excluded) *)
-  removed : int;      (** entries deleted by this sweep *)
+  entries : int;      (** segments examined *)
+  removed : int;      (** segments deleted by this sweep *)
   bytes_before : int;
   bytes_after : int;
 }
@@ -79,33 +78,24 @@ val env_max_bytes : unit -> int option
     a positive number of mebibytes ([None] when unset or unparsable). *)
 
 val gc : ?max_bytes:int -> string -> gc_stats
-(** [gc dir] prunes entry files from a cache directory, oldest mtime
-    first (name breaks ties, so eviction order is deterministic), until
-    the total size is at most [max_bytes] (default {!env_max_bytes};
-    a no-op sweep when neither gives a bound). Entries still being
-    written — the [.tmp.*] files {!add} renames into place — are never
-    touched, and a concurrently deleted entry is simply a future cache
-    miss, so running [gc] against a live cache is safe. Best-effort:
-    IO errors skip the file rather than raise. *)
+(** [gc dir] deletes whole segments from a cache directory and its
+    replay store, oldest mtime first (path breaks ties, so eviction
+    order is deterministic), until their total size is at most
+    [max_bytes] (default {!env_max_bytes}; a no-op sweep when neither
+    gives a bound). A deleted segment's entries are simply future
+    misses, so running [gc] against a live cache is safe. Best-effort:
+    IO errors skip the segment rather than raise. *)
 
 type disk_stats = {
-  ds_shards : int;   (** two-hex-digit shard subdirectories present *)
-  ds_entries : int;  (** entry files, root plus shards (temps excluded) *)
-  ds_bytes : int;    (** total size of those entries *)
+  ds_segments : int; (** segment files in the directory *)
+  ds_entries : int;  (** distinct keys with an intact frame *)
+  ds_bytes : int;    (** total size of the segments *)
 }
 
 val disk_stats : string -> disk_stats
-(** Read-only scan of a cache (or replay-store) directory — what
-    [mp-cache stat] prints. A missing directory reports all zeros;
-    in-flight [.tmp.*] files are excluded, as everywhere else. *)
-
-val write_file : string -> 'a -> unit
-(** [write_file path v] marshals [v] to [path] atomically: it writes a
-    temp file [.tmp.<pid>.<n>] in [path]'s directory (the name {!gc} and
-    {!disk_stats} skip) and renames it into place, so readers never see
-    a partial file. If the write fails, the temp is closed and removed
-    and the exception re-raised. The cache entries and the
-    {!Replay} store are both written through it. *)
+(** Read-only scan of one store's directory — the cache root or its
+    [replay/] — for what [mp-cache stat] prints. A missing directory
+    reports all zeros. *)
 
 val persistent : t -> bool
 

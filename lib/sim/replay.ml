@@ -75,7 +75,7 @@ let max_bases = 8
 type t = {
   table : (string, record) Hashtbl.t;
   lock : Mutex.t;
-  disk_dir : string option; (* records live in dir/<shard>/<ns>-<key> *)
+  log : Mp_util.Disk_log.t option;
 }
 
 let schema_version = 1
@@ -96,16 +96,25 @@ let enabled () =
   | None -> true
 
 (* Same gate and directory as the measurement cache ([MP_CACHE],
-   [MP_CACHE_DIR]), one level down — replay records shard and
-   namespace exactly like measurement entries, so a build's records
-   are pruned and GC'd by the same housekeeping story. *)
+   [MP_CACHE_DIR]), one level down — replay records are segment frames
+   under the same namespace as measurement entries, so the cache's
+   housekeeping prunes and GCs them too. *)
 let env_disk_dir () =
   match Measurement_cache.env_disk () with
   | None -> None
   | Some d -> Some (Filename.concat d.Measurement_cache.dir "replay")
 
 let create ?disk_dir () =
-  { table = Hashtbl.create 256; lock = Mutex.create (); disk_dir }
+  {
+    table = Hashtbl.create 256;
+    lock = Mutex.create ();
+    log =
+      Option.map
+        (fun dir ->
+          Mp_util.Disk_log.shared ~dir
+            ~namespace:(Measurement_cache.namespace ()))
+        disk_dir;
+  }
 
 let length t =
   Mutex.lock t.lock;
@@ -145,41 +154,6 @@ let key ~uarch ~smt ~warmup ~mem_latency ?salt (per_thread : Ir.t array) =
     Array.fold_left (fun h (p : Ir.t) -> int64 h p.Ir.body_hash) h per_thread
   in
   to_hex (finish h)
-
-(* ----- disk persistence -------------------------------------------------- *)
-
-let shard_of key =
-  if String.length key >= 2 then String.sub key 0 2 else "00"
-
-let entry_path dir key =
-  Filename.concat
-    (Filename.concat dir (shard_of key))
-    (Measurement_cache.namespace () ^ "-" ^ key)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
-let disk_read dir key =
-  let path = entry_path dir key in
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let v, k, (r : record) = Marshal.from_channel ic in
-        if v = schema_version && k = key then Some r else None)
-  with _ -> None
-
-let disk_write dir key (r : record) =
-  try
-    let path = entry_path dir key in
-    mkdir_p (Filename.dirname path);
-    Measurement_cache.write_file path (schema_version, key, r)
-  with _ -> () (* best-effort, like the measurement cache *)
 
 (* ----- activity <-> record conversion ------------------------------------ *)
 
@@ -335,10 +309,10 @@ let lookup t key =
   Mutex.lock t.lock;
   let r = Hashtbl.find_opt t.table key in
   Mutex.unlock t.lock;
-  match (r, t.disk_dir) with
+  match (r, t.log) with
   | (Some _ as r), _ | r, None -> r
-  | None, Some dir ->
-    (match disk_read dir key with
+  | None, Some log ->
+    (match Mp_util.Disk_log.find log ~schema:schema_version key with
      | None -> None
      | Some r ->
        Mutex.lock t.lock;
@@ -440,6 +414,6 @@ let record t ~opmap ~measure key (activity : Core_sim.activity)
   if changed then Hashtbl.replace t.table key merged;
   Mutex.unlock t.lock;
   if changed then
-    match t.disk_dir with
-    | Some dir -> disk_write dir key merged
-    | None -> ()
+    Option.iter
+      (fun log -> Mp_util.Disk_log.append log ~schema:schema_version key merged)
+      t.log

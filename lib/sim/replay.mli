@@ -27,8 +27,9 @@
     as for [MP_PERIOD]); {!Machine.create} then simulates every run
     densely. Records persist to disk under the measurement cache's
     directory ([MP_CACHE_DIR]/replay, same [MP_CACHE] gate, same
-    2-hex-digit sharding, same binary-stamped namespace), so warm runs
-    skip even their first-period simulation. *)
+    per-process segments, same binary-stamped namespace), so warm runs
+    skip even their first-period simulation. A merge that changes a
+    record appends the merged record; the last one for a key wins. *)
 
 type t
 

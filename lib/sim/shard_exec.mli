@@ -30,10 +30,11 @@
     handshake frame carrying the namespace (a mismatched peer is
     rejected before any closure-bearing frame is decoded; the
     namespace is still re-checked per request on both ends). Workers
-    inherit [MP_CACHE_DIR], so the sharded disk cache and the replay
-    store are the merge point: every worker writes through with the
-    same tmp+rename atomicity, and a campaign's second lap is warm
-    regardless of which process measured first.
+    inherit [MP_CACHE_DIR], so the disk cache and the replay store are
+    the merge point: every worker appends to a segment of its own, a
+    reader's index miss picks up what other processes appended since,
+    and a campaign's second lap is warm regardless of which process
+    measured first.
 
     {2 Crash tolerance}
 

@@ -28,6 +28,17 @@ let string h s =
   String.iter (fun c -> h := byte !h (Char.code c)) s;
   !h
 
+(* the bytes of [s] from [off], [len] of them, with no length prefix:
+   folding two adjacent ranges equals folding their concatenation *)
+let sub h s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Fnv.sub";
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h := byte !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
 (* splitmix64 finalizer *)
 let finish z =
   let z =

@@ -26,6 +26,11 @@ val bool : t -> bool -> t
 val string : t -> string -> t
 (** Fold the length, then every byte. *)
 
+val sub : t -> string -> int -> int -> t
+(** [sub h s off len] folds [len] bytes of [s] from [off], without a
+    length prefix, so adjacent ranges fold like their concatenation.
+    Raises [Invalid_argument] outside [s]. *)
+
 val finish : t -> int64
 (** splitmix64 finalizer: full-width avalanche of the accumulator. *)
 

@@ -422,10 +422,24 @@ let with_cache_dir dir f =
   Unix.putenv "MP_CACHE_DIR" dir;
   Fun.protect ~finally:(fun () -> Unix.putenv "MP_CACHE_DIR" "_mp_cache") f
 
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* a directory name of this process's own, emptied of anything an
+   earlier process with the same pid left there *)
 let fresh_dir tag =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mp_cache_test_%s_%d" tag (Unix.getpid ()))
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mp_cache_test_%s_%d" tag (Unix.getpid ()))
+  in
+  remove_tree dir;
+  dir
 
 let cache_stats machine =
   match Machine.measurement_cache machine with
@@ -529,9 +543,10 @@ let test_disk_cache_concurrent_writers () =
     { Measurement_cache.dir; namespace = Measurement_cache.namespace () }
   in
   let key i = Printf.sprintf "ab%06dcafe" (i mod 4) in
-  (* two independent tables race tmp+rename writes of the same keys
-     into the same directory — concurrent writers of one key store
-     identical bytes, so whichever rename lands last wins harmlessly *)
+  (* two independent tables race appends of the same keys into the
+     same directory — they share the process's one writer, and
+     concurrent writers of one key store identical bytes, so whichever
+     frame lands last wins harmlessly *)
   let writer () =
     let t = Measurement_cache.create ~disk () in
     for i = 0 to 39 do
@@ -552,8 +567,8 @@ let test_disk_cache_concurrent_writers () =
   Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir);
   let s = Measurement_cache.disk_stats dir in
   Alcotest.(check int) "one entry per key" 4 s.Measurement_cache.ds_entries;
-  Alcotest.(check bool) "sharded layout" true
-    (s.Measurement_cache.ds_shards >= 1)
+  Alcotest.(check int) "one segment per process" 1
+    s.Measurement_cache.ds_segments
 
 let test_replay_store_concurrent_writers () =
   let a = arch () in
@@ -600,28 +615,263 @@ let test_replay_store_concurrent_writers () =
    | None -> Alcotest.fail "record not served from the replay store");
   Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
 
-let test_write_file_failure_cleans_up () =
-  let mkdir d =
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+(* ----- the segment log -------------------------------------------------------- *)
+
+module Disk_log = Mp_util.Disk_log
+
+let segments_in dir =
+  Sys.readdir dir |> Array.to_list |> List.filter Disk_log.is_segment
+  |> List.sort compare
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bytes path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* The child half of the cross-process tests: this test binary
+   re-executed as [exe --disk-log-child MODE DIR], optionally under a
+   shell wrapper. It exits 0 unless its own step raised. *)
+let disk_log_child mode dir =
+  (match mode with
+   | "append" ->
+     (* one measurement entry, written after the parent indexed [dir] *)
+     let a = arch () in
+     let m =
+       Machine.run
+         (Machine.create ~cache:false a.Arch.uarch)
+         (config a ~cores:1 ~smt:1) (mono a "mulld")
+     in
+     let disk =
+       { Measurement_cache.dir; namespace = Measurement_cache.namespace () }
+     in
+     Measurement_cache.add (Measurement_cache.create ~disk ()) "xproc" m
+   | "failed-append" ->
+     (* run under a file-size limit: the second record cannot fit, so
+        its write fails part-way and must not take the third down *)
+     Sys.set_signal Sys.sigxfsz Sys.Signal_ignore;
+     let log = Disk_log.shared ~dir ~namespace:"fa" in
+     Disk_log.append log ~schema:0 "before" "small";
+     Disk_log.append log ~schema:0 "torn" (String.make 16384 'x');
+     Disk_log.append log ~schema:0 "after" "small"
+   | m -> failwith ("unknown child mode " ^ m));
+  exit 0
+
+let run_child ?(wrap = []) mode dir =
+  let argv =
+    Array.of_list (wrap @ [ Sys.executable_name; "--disk-log-child"; mode; dir ])
   in
-  let dir = fresh_dir "wrfail" in
-  mkdir dir;
-  let ok = Filename.concat dir "entry" in
-  Measurement_cache.write_file ok (1, "payload");
-  Alcotest.(check bool) "written" true (Sys.file_exists ok);
-  (* renaming a file onto a non-empty directory fails after the temp
-     was written: the temp must not outlive the failure *)
-  let blocker = Filename.concat dir "blocker" in
-  mkdir blocker;
-  Measurement_cache.write_file (Filename.concat blocker "x") 0;
-  let raised =
-    try
-      Measurement_cache.write_file blocker (2, "payload");
-      false
-    with Sys_error _ -> true
+  let pid = Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail ("child process failed: " ^ mode)
+
+(* five string records in one segment of a fresh directory *)
+let small_log tag =
+  let dir = fresh_dir tag in
+  let w = Disk_log.create ~dir ~namespace:"t" in
+  let records = List.init 5 (fun i -> (Printf.sprintf "k%d" i, String.make (40 + i) 'v')) in
+  List.iter (fun (k, v) -> Disk_log.append w ~schema:1 k v) records;
+  match segments_in dir with
+  | [ seg ] -> (dir, Filename.concat dir seg, records)
+  | _ -> Alcotest.fail "expected exactly one segment"
+
+let lookup dir k : string option =
+  Disk_log.find (Disk_log.create ~dir ~namespace:"t") ~schema:1 k
+
+let test_log_torn_tail () =
+  let dir, seg, records = small_log "torn" in
+  let s = read_bytes seg in
+  (* cut inside the last frame, as a crash mid-append would *)
+  write_bytes seg (String.sub s 0 (String.length s - 3));
+  List.iteri
+    (fun i (k, v) ->
+      Alcotest.(check (option string)) k
+        (if i < 4 then Some v else None)
+        (lookup dir k))
+    records
+
+let test_log_flipped_payload_byte () =
+  with_cache_dir (fresh_dir "flip") (fun () ->
+      let a = arch () in
+      let p = mono a "fadd" in
+      let c = config a ~cores:1 ~smt:1 in
+      let r1 = Machine.run (Machine.create a.Arch.uarch) c p in
+      let dir = Sys.getenv "MP_CACHE_DIR" in
+      (* the cache root holds one frame; its middle byte is payload *)
+      let seg =
+        match segments_in dir with
+        | [ s ] -> Filename.concat dir s
+        | _ -> Alcotest.fail "expected one cache segment"
+      in
+      let b = Bytes.of_string (read_bytes seg) in
+      let mid = Bytes.length b / 2 in
+      Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x10));
+      write_bytes seg (Bytes.to_string b);
+      let m2 = Machine.create a.Arch.uarch in
+      let r2 = Machine.run m2 c p in
+      Alcotest.(check bool) "recomputed bit-identical" true (compare r1 r2 = 0);
+      let s = cache_stats m2 in
+      Alcotest.(check int) "nothing served from disk" 0
+        s.Measurement_cache.disk_hits;
+      Alcotest.(check int) "recomputed once" 1 s.Measurement_cache.misses)
+
+type damage = Flip of int * int | Truncate of int
+
+(* Any single-byte mutation or truncation of a segment leaves every
+   lookup either exact or a miss — and never raises. Offsets are taken
+   modulo the segment's length. *)
+let prop_log_damage =
+  let log =
+    lazy
+      (let dir, seg, records = small_log "damage" in
+       (dir, seg, records, read_bytes seg))
   in
-  Alcotest.(check bool) "failed rename raises" true raised;
-  Alcotest.(check bool) "no temp files left behind" true (no_tmp_left dir)
+  let print = function
+    | Flip (i, x) -> Printf.sprintf "flip byte %d by %d" i x
+    | Truncate i -> Printf.sprintf "truncate at %d" i
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map2 (fun i x -> Flip (i, x)) nat (int_range 1 255);
+          map (fun i -> Truncate i) nat ])
+  in
+  QCheck.Test.make ~name:"damaged segment exact or miss" ~count:300
+    (QCheck.make ~print gen) (fun d ->
+      let dir, seg, records, pristine = Lazy.force log in
+      let n = String.length pristine in
+      let damaged =
+        match d with
+        | Truncate i -> String.sub pristine 0 (i mod n)
+        | Flip (i, x) ->
+          let b = Bytes.of_string pristine in
+          let i = i mod n in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+          Bytes.to_string b
+      in
+      write_bytes seg damaged;
+      List.for_all
+        (fun (k, v) ->
+          match lookup dir k with None -> true | Some got -> got = v)
+        records)
+
+let test_log_failed_append () =
+  let dir = fresh_dir "failapp" in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  run_child
+    ~wrap:[ "/bin/sh"; "-c"; "trap '' XFSZ; ulimit -f 4 && exec \"$@\""; "sh" ]
+    "failed-append" dir;
+  let find k : string option =
+    Disk_log.find (Disk_log.create ~dir ~namespace:"fa") ~schema:0 k
+  in
+  Alcotest.(check (option string)) "record before the failure" (Some "small")
+    (find "before");
+  Alcotest.(check (option string)) "torn record is a miss" None (find "torn");
+  Alcotest.(check (option string)) "record after the failure" (Some "small")
+    (find "after");
+  Alcotest.(check int) "the failure closed its segment" 2
+    (List.length (segments_in dir))
+
+let test_log_cross_process () =
+  let dir = fresh_dir "xproc" in
+  let disk =
+    { Measurement_cache.dir; namespace = Measurement_cache.namespace () }
+  in
+  let t = Measurement_cache.create ~disk () in
+  (* the first lookup indexes the (empty) directory *)
+  Alcotest.(check bool) "absent before the child writes" true
+    (Measurement_cache.find t "xproc" = None);
+  run_child "append" dir;
+  let a = arch () in
+  let expect =
+    Machine.run
+      (Machine.create ~cache:false a.Arch.uarch)
+      (config a ~cores:1 ~smt:1) (mono a "mulld")
+  in
+  match Measurement_cache.find t "xproc" with
+  | Some got ->
+    Alcotest.(check bool) "child's entry bit-identical" true
+      (compare got expect = 0)
+  | None -> Alcotest.fail "entry appended by another process not found"
+
+(* Old per-entry files and shard directories of schema v3, in both
+   stores, as an earlier build would have left them. *)
+let plant_v3_entries dir =
+  let mkdir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> () in
+  let replay = Filename.concat dir "replay" in
+  List.iter mkdir
+    [ dir; Filename.concat dir "ab"; replay; Filename.concat replay "cd" ];
+  let files =
+    [ "v3-0123-abcd"; "ab/v3-0123-ab01"; "replay/cd/v3-0123-cd02";
+      "replay/v3-0123-4242-0a0b.seg" ]
+  in
+  List.iter (fun f -> write_bytes (Filename.concat dir f) "old entry") files;
+  (* everything planted, shard directories included *)
+  files @ [ "ab"; "replay/cd" ]
+
+let test_disk_cache_segment_layout () =
+  with_cache_dir (fresh_dir "seglayout") (fun () ->
+      let dir = Sys.getenv "MP_CACHE_DIR" in
+      let old = plant_v3_entries dir in
+      let a = arch () in
+      let p = mono a "mulld" in
+      let c = config a ~cores:1 ~smt:1 in
+      let m1 = Machine.create a.Arch.uarch in
+      let r1 = Machine.run m1 c p in
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) ("pruned: " ^ f) false
+            (Sys.file_exists (Filename.concat dir f)))
+        old;
+      (* the root holds this process's segment and the replay store,
+         nothing else: no shard directories, no per-entry files *)
+      let prefix = Measurement_cache.namespace () ^ "-" in
+      Array.iter
+        (fun f ->
+          if f <> "replay" then
+            Alcotest.(check bool) ("segment of this build: " ^ f) true
+              (Disk_log.is_segment f && String.starts_with ~prefix f))
+        (Sys.readdir dir);
+      Alcotest.(check int) "one segment per process" 1
+        (List.length (segments_in dir));
+      let m2 = Machine.create a.Arch.uarch in
+      let r2 = Machine.run m2 c p in
+      Alcotest.(check bool) "served bit-identical" true (compare r1 r2 = 0);
+      Alcotest.(check int) "served from disk" 1
+        (cache_stats m2).Measurement_cache.disk_hits)
+
+let test_replay_store_housekeeping () =
+  (* stale replay files go on first use of the directory *)
+  let dir = fresh_dir "replayhk" in
+  let old = plant_v3_entries dir in
+  with_cache_dir dir (fun () -> ignore (Machine.create (arch ()).Arch.uarch));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("pruned: " ^ f) false
+        (Sys.file_exists (Filename.concat dir f)))
+    old;
+  (* gc bounds both stores together, oldest segment first *)
+  let replay = Filename.concat dir "replay" in
+  let t0 = Unix.gettimeofday () -. 1000.0 in
+  let seg d name bytes mtime =
+    let path = Filename.concat d name in
+    write_bytes path (String.make bytes 'x');
+    Unix.utimes path mtime mtime;
+    path
+  in
+  let oldest = seg replay "r-old.seg" 1000 t0 in
+  let cache_seg = seg dir "c.seg" 1000 (t0 +. 10.0) in
+  let newest = seg replay "r-new.seg" 1000 (t0 +. 20.0) in
+  let s = Measurement_cache.gc ~max_bytes:2500 dir in
+  Alcotest.(check int) "replay segments counted" 3 s.Measurement_cache.entries;
+  Alcotest.(check int) "replay bytes counted" 3000
+    s.Measurement_cache.bytes_before;
+  Alcotest.(check int) "one segment evicted" 1 s.Measurement_cache.removed;
+  Alcotest.(check bool) "oldest replay segment evicted" false
+    (Sys.file_exists oldest);
+  Alcotest.(check bool) "cache segment kept" true (Sys.file_exists cache_seg);
+  Alcotest.(check bool) "newest replay segment kept" true
+    (Sys.file_exists newest)
 
 (* ----- multi-process batches ------------------------------------------------ *)
 
@@ -696,40 +946,35 @@ let test_single_flight () =
 let test_cache_gc () =
   let dir = fresh_dir "gc" in
   (try Unix.mkdir dir 0o755 with _ -> ());
-  (try Unix.mkdir (Filename.concat dir "ab") 0o755 with _ -> ());
   let write name bytes mtime =
     let path = Filename.concat dir name in
-    let oc = open_out_bin path in
-    output_string oc (String.make bytes 'x');
-    close_out oc;
+    write_bytes path (String.make bytes 'x');
     Unix.utimes path mtime mtime
   in
   let t0 = Unix.gettimeofday () -. 1000.0 in
-  (* five 1000-byte entries, oldest first — one inside a shard
-     subdirectory, which the sweep must walk — plus an in-flight temp *)
-  write "entry-a" 1000 t0;
-  write "entry-b" 1000 (t0 +. 10.0);
-  write (Filename.concat "ab" "entry-e") 1000 (t0 +. 15.0);
-  write "entry-c" 1000 (t0 +. 20.0);
-  write "entry-d" 1000 (t0 +. 30.0);
-  write ".tmp.999.0" 1000 t0;
+  (* five 1000-byte segments, oldest first, plus a file that is not a
+     segment and so is not the sweep's to count or evict *)
+  write "a.seg" 1000 t0;
+  write "b.seg" 1000 (t0 +. 10.0);
+  write "e.seg" 1000 (t0 +. 15.0);
+  write "c.seg" 1000 (t0 +. 20.0);
+  write "d.seg" 1000 (t0 +. 30.0);
+  write "notes" 1000 t0;
   let s = Measurement_cache.gc ~max_bytes:2500 dir in
-  (* three oldest entries go — flat root and shard alike; the temp is
-     invisible to the sweep *)
-  Alcotest.(check int) "entries examined" 5 s.Measurement_cache.entries;
+  (* the three oldest segments go, whole *)
+  Alcotest.(check int) "segments examined" 5 s.Measurement_cache.entries;
   Alcotest.(check int) "removed oldest three" 3 s.Measurement_cache.removed;
   Alcotest.(check int) "bytes before" 5000 s.Measurement_cache.bytes_before;
   Alcotest.(check int) "bytes after" 2000 s.Measurement_cache.bytes_after;
-  Alcotest.(check bool) "oldest gone" false
-    (Sys.file_exists (Filename.concat dir "entry-a"));
-  Alcotest.(check bool) "second oldest gone" false
-    (Sys.file_exists (Filename.concat dir "entry-b"));
-  Alcotest.(check bool) "sharded entry evicted too" false
-    (Sys.file_exists (Filename.concat dir (Filename.concat "ab" "entry-e")));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " evicted") false
+        (Sys.file_exists (Filename.concat dir f)))
+    [ "a.seg"; "b.seg"; "e.seg" ];
   Alcotest.(check bool) "newest kept" true
-    (Sys.file_exists (Filename.concat dir "entry-d"));
-  Alcotest.(check bool) "in-flight temp never touched" true
-    (Sys.file_exists (Filename.concat dir ".tmp.999.0"));
+    (Sys.file_exists (Filename.concat dir "d.seg"));
+  Alcotest.(check bool) "other files never touched" true
+    (Sys.file_exists (Filename.concat dir "notes"));
   (* already under the bound: a second sweep removes nothing *)
   let s2 = Measurement_cache.gc ~max_bytes:2500 dir in
   Alcotest.(check int) "idempotent" 0 s2.Measurement_cache.removed;
@@ -903,67 +1148,6 @@ let test_hetero_batch_dedup_scatter () =
         (Printf.sprintf "hetero position %d bit-identical" i)
         true (compare p d = 0))
     (List.combine plain deduped)
-
-let test_disk_cache_shard_layout_and_migration () =
-  with_cache_dir (fresh_dir "shard") (fun () ->
-      let a = arch () in
-      let p = mono a "mulld" in
-      let c = config a ~cores:1 ~smt:1 in
-      let m1 = Machine.create a.Arch.uarch in
-      let r1 = Machine.run m1 c p in
-      let dir = Sys.getenv "MP_CACHE_DIR" in
-      let is_hex2 f =
-        String.length f = 2
-        && String.for_all
-             (fun ch -> (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f'))
-             f
-      in
-      (* every entry lives in a two-hex-digit shard subdirectory whose
-         name prefixes the key (the suffix of the entry file name) *)
-      let entries = ref [] in
-      Array.iter
-        (fun f ->
-          let path = Filename.concat dir f in
-          if Sys.is_directory path then begin
-            Alcotest.(check bool) ("shard dir name " ^ f) true (is_hex2 f);
-            Array.iter
-              (fun e ->
-                (* entry name is <namespace>-<key>; the key (either
-                   derivation's) is the hex run after the last dash *)
-                let i = String.rindex e '-' in
-                let key = String.sub e (i + 1) (String.length e - i - 1) in
-                Alcotest.(check string) "entry in its key's shard" f
-                  (String.sub key 0 2);
-                entries := (f, e) :: !entries)
-              (Sys.readdir path)
-          end
-          else Alcotest.fail ("flat entry in a sharded cache root: " ^ f))
-        (Sys.readdir dir);
-      Alcotest.(check bool) "at least one entry written" true
-        (!entries <> []);
-      (* legacy flat layout: move every entry into the root, as an
-         earlier version would have written it *)
-      List.iter
-        (fun (shard, e) ->
-          Sys.rename
-            (Filename.concat (Filename.concat dir shard) e)
-            (Filename.concat dir e))
-        !entries;
-      let m2 = Machine.create a.Arch.uarch in
-      let r2 = Machine.run m2 c p in
-      Alcotest.(check bool) "legacy entry served bit-identical" true
-        (compare r1 r2 = 0);
-      let s = cache_stats m2 in
-      Alcotest.(check int) "served from disk" 1 s.Measurement_cache.disk_hits;
-      Alcotest.(check int) "no simulation ran" 0 s.Measurement_cache.misses;
-      (* and the read migrated the flat entry back into its shard *)
-      List.iter
-        (fun (shard, e) ->
-          Alcotest.(check bool) ("flat copy gone: " ^ e) false
-            (Sys.file_exists (Filename.concat dir e));
-          Alcotest.(check bool) ("migrated into " ^ shard) true
-            (Sys.file_exists (Filename.concat (Filename.concat dir shard) e)))
-        !entries)
 
 (* ----- exact period skipping ------------------------------------------------ *)
 
@@ -1599,6 +1783,11 @@ let prop_local_ids_invisible =
       && ascending r2.Core_sim.transitions)
 
 let () =
+  match Sys.argv with
+  | [| _; "--disk-log-child"; mode; dir |] -> disk_log_child mode dir
+  | _ -> ()
+
+let () =
   Alcotest.run "mp_sim"
     [
       ("cache",
@@ -1682,15 +1871,23 @@ let () =
            test_disk_cache_corrupt_skipped;
          Alcotest.test_case "concurrent writers" `Quick
            test_disk_cache_concurrent_writers;
-         Alcotest.test_case "failed write removes its temp" `Quick
-           test_write_file_failure_cleans_up;
+         Alcotest.test_case "failed append keeps the log" `Quick
+           test_log_failed_append;
          Alcotest.test_case "replay store concurrent writers" `Quick
            test_replay_store_concurrent_writers;
          Alcotest.test_case "single flight" `Quick test_single_flight;
          Alcotest.test_case "gc size bound" `Quick test_cache_gc;
          Alcotest.test_case "MP_CACHE_MAX_MB" `Quick test_cache_gc_env;
-         Alcotest.test_case "shard layout + legacy migration" `Quick
-           test_disk_cache_shard_layout_and_migration ]);
+         Alcotest.test_case "segment layout" `Quick
+           test_disk_cache_segment_layout;
+         Alcotest.test_case "torn tail" `Quick test_log_torn_tail;
+         Alcotest.test_case "flipped payload byte" `Quick
+           test_log_flipped_payload_byte;
+         QCheck_alcotest.to_alcotest prop_log_damage;
+         Alcotest.test_case "entry from another process" `Quick
+           test_log_cross_process;
+         Alcotest.test_case "replay store housekeeping" `Quick
+           test_replay_store_housekeeping ]);
       ("structural keys",
        [ Alcotest.test_case "equivalence classes" `Quick
            test_key_equivalence_classes;
