@@ -122,8 +122,7 @@ let run ~machine ~arch ?config ?(size = 1024) ?instructions ?pool () =
   let config = resolve_config ~arch config in
   (* The whole characterization campaign as one batch: the nodep/dep
      pair of every instruction, in exactly the order the serial loop
-     would run them — so opcode interning (and therefore every float
-     summation order downstream) matches the serial path and the
+     would run them. Measurements are deterministic per job, so the
      results are bit-identical to per-instruction instruction_props. *)
   let jobs =
     List.concat_map

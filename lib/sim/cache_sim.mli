@@ -15,19 +15,14 @@ type model = Packed | List_ref
 
 val model_to_string : model -> string
 
-val model_of_string : string -> model option
-(** Accepts ["packed"]/["fast"] and ["list"]/["ref"]/["reference"]. *)
-
-val default_model : unit -> model
-(** The model {!create} uses when none is given: [Packed] unless the
-    [MP_CACHE_MODEL] environment variable selects the reference model.
-    Read per call, so tests can flip it between runs. Raises
-    [Invalid_argument] on an unrecognised value. *)
-
 type t
 
 val create : ?model:model -> Mp_uarch.Uarch_def.t -> t
-(** [model] defaults to {!default_model}[ ()]. *)
+(** [model] defaults to [Packed] unless the [MP_CACHE_MODEL]
+    environment variable selects the reference model
+    (["list"]/["ref"]/["reference"]; ["packed"]/["fast"] name the
+    default). Read per call, so tests can flip it between runs. Raises
+    [Invalid_argument] on an unrecognised value. *)
 
 val model : t -> model
 

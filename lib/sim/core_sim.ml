@@ -1,49 +1,6 @@
 open Mp_uarch
 open Mp_codegen
 
-(* ----- opcode interning ------------------------------------------------- *)
-
-type opmap = {
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable count : int;
-  lock : Mutex.t;
-      (* deploys may run on pool domains; the intern table is the only
-         mutable state they share, so every access takes the lock.
-         Deterministic id assignment is the caller's job: Machine
-         pre-interns every opcode in job order before fanning out. *)
-}
-
-let opmap_create () =
-  { ids = Hashtbl.create 64; names = Array.make 64 ""; count = 0;
-    lock = Mutex.create () }
-
-let opmap_size m = m.count
-
-let intern m name =
-  Mutex.lock m.lock;
-  let id =
-    match Hashtbl.find_opt m.ids name with
-    | Some id -> id
-    | None ->
-      let id = m.count in
-      Hashtbl.add m.ids name id;
-      if id >= Array.length m.names then begin
-        let bigger = Array.make (2 * Array.length m.names) "" in
-        Array.blit m.names 0 bigger 0 (Array.length m.names);
-        m.names <- bigger
-      end;
-      m.names.(id) <- name;
-      m.count <- id + 1;
-      id
-  in
-  Mutex.unlock m.lock;
-  id
-
-let opmap_name m id =
-  if id < 0 || id >= m.count then invalid_arg "Core_sim.opmap_name";
-  m.names.(id)
-
 (* ----- deployed programs ------------------------------------------------ *)
 
 let n_pipe_kinds = 6
@@ -57,7 +14,7 @@ let pipe_index = function
   | Pipe.Update_port -> 5
 
 type dinstr = {
-  op_id : int;
+  op : string;                  (* mnemonic: the opcode's identity *)
   fixed : (int * int) array;    (* (pipe kind, occupancy in uarch ticks) *)
   alt : (int * int) array;
   latency : int;                (* base latency; memory ops: per access *)
@@ -75,7 +32,7 @@ type dprog = {
   daf : float;
 }
 
-let deploy ~uarch ~opmap ~streams (p : Ir.t) =
+let deploy ~uarch ~streams (p : Ir.t) =
   let reg_ids = Hashtbl.create 64 in
   let n_regs = ref 0 in
   let reg_id r =
@@ -104,7 +61,7 @@ let deploy ~uarch ~opmap ~streams (p : Ir.t) =
       | Mp_isa.Instruction.Store -> 2
     in
     {
-      op_id = intern opmap op.Mp_isa.Instruction.mnemonic;
+      op = op.Mp_isa.Instruction.mnemonic;
       fixed = Array.of_list (List.map conv res.Uarch_def.fixed);
       alt = Array.of_list (List.map conv res.Uarch_def.alt);
       latency = res.Uarch_def.latency;
@@ -122,7 +79,7 @@ let deploy ~uarch ~opmap ~streams (p : Ir.t) =
   let payload = Array.map of_instr p.Ir.body in
   let bdnz =
     {
-      op_id = intern opmap "bdnz";
+      op = "bdnz";
       fixed = [| (pipe_index Pipe.Bru, uarch.Uarch_def.occ_den) |];
       alt = [||];
       latency = 1;
@@ -143,11 +100,13 @@ let deploy ~uarch ~opmap ~streams (p : Ir.t) =
 type activity = {
   measured_cycles : int;
   threads : Measurement.counters array;
-  op_issues : int array;
+  ops : string array;           (* run-local opcode id -> mnemonic, sorted *)
+  op_issues : int array;        (* per run-local opcode id *)
   level_loads : int array;
   switch_events : int;
   transitions : (int * int * int) list;
-      (* (previous opcode id, next opcode id, count) over the dispatch bus *)
+      (* (previous opcode id, next opcode id, count) over the dispatch bus,
+         ascending *)
   daf : float;
   prefetches : int;
 }
@@ -205,6 +164,7 @@ let zero_raw () =
 
 type thread_state = {
   prog : dprog;
+  op_ids : int array;         (* body index -> run-local opcode id *)
   queue : pending array;      (* ring buffer of capacity window *)
   mutable q_head : int;
   mutable q_len : int;
@@ -277,14 +237,15 @@ type period_delta = {
   pd_counters : int array array;
       (* per thread: instrs, dispatched, fxu, lsu, vsu, bru, st,
          l1, l2, l3, memc — the raw_counters fields in order *)
-  pd_op_issues : (int * int) list;      (* (opcode id, delta), sparse *)
+  pd_op_issues : int array;             (* per run-local opcode id *)
   pd_level_loads : int array;
   pd_switch : int;
-  pd_transitions : (int * int * int) list;  (* (prev id, next id, delta) *)
+  pd_transitions : (int * int * int) list;
+      (* (prev id, next id, delta), non-zero deltas, ascending *)
   pd_prefetches : int;
 }
 
-let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
+let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
     progs =
   let nthreads = Array.length progs in
   if nthreads = 0 then invalid_arg "Core_sim.run: no threads";
@@ -331,30 +292,20 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
         Array.make (max 1 (Uarch_def.pipe_count uarch kind)) 0)
   in
   let pipe_now = ref 0 in
-  (* Run-local opcode ids: the opcodes these programs use, numbered
-     0..n_ops-1 in ascending global-id order. The opmap holds every
-     opcode the machine has interned so far, while a kernel uses a
-     handful, so per-opcode counters and the transition matrix are
-     keyed locally and mapped back to global ids only when the results
-     are built. The mapping is monotone, so ascending local order is
-     ascending global order. All global ids are < opmap_size at run
-     entry (interning happens at deploy, never mid-run). *)
-  let n_global = opmap_size opmap in
-  let local_of = Array.make (max 1 n_global) (-1) in
+  (* Run-local opcode ids: the distinct mnemonics these programs use,
+     numbered 0..n_ops-1 in name order. A kernel uses a handful of
+     opcodes, so per-opcode counters and the transition matrix stay
+     small, and ascending id order is ascending name order — the order
+     Power_sim sums energies in. *)
+  let id_of = Hashtbl.create 16 in
   Array.iter
     (fun (p : dprog) ->
-      Array.iter (fun (d : dinstr) -> local_of.(d.op_id) <- 0) p.body)
+      Array.iter (fun (d : dinstr) -> Hashtbl.replace id_of d.op 0) p.body)
     progs;
-  let n_ops = ref 0 in
-  for g = 0 to n_global - 1 do
-    if local_of.(g) >= 0 then begin
-      local_of.(g) <- !n_ops;
-      incr n_ops
-    end
-  done;
-  let n_ops = !n_ops in
-  let global_of = Array.make n_ops 0 in
-  Array.iteri (fun g l -> if l >= 0 then global_of.(l) <- g) local_of;
+  let ops = Array.of_seq (Hashtbl.to_seq_keys id_of) in
+  Array.sort compare ops;
+  Array.iteri (fun i name -> Hashtbl.replace id_of name i) ops;
+  let n_ops = Array.length ops in
   let op_issues = Array.make n_ops 0 in
   let level_loads = Array.make 4 0 in
   let switch_events = ref 0 in
@@ -404,6 +355,8 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       (fun prog ->
         {
           prog;
+          op_ids =
+            Array.map (fun (d : dinstr) -> Hashtbl.find id_of d.op) prog.body;
           queue =
             Array.init window (fun _ ->
                 { di = 0; it = 0; seq = 0; deps = Array.make 4 (-1);
@@ -774,12 +727,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                          c.l2 - s.l2; c.l3 - s.l3; c.memc - s.memc |])
                     threads;
                 pd_op_issues =
-                  (let acc = ref [] in
-                   for i = n_ops - 1 downto 0 do
-                     let d = op_issues.(i) - b.b_op_issues.(i) in
-                     if d <> 0 then acc := (global_of.(i), d) :: !acc
-                   done;
-                   !acc);
+                  Array.mapi (fun i n -> n - b.b_op_issues.(i)) op_issues;
                 pd_level_loads =
                   Array.init 4 (fun i ->
                       level_loads.(i) - b.b_level_loads.(i));
@@ -789,9 +737,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
                    for key = Array.length transitions - 1 downto 0 do
                      let d = transitions.(key) - b.b_transitions.(key) in
                      if d <> 0 then
-                       acc :=
-                         (global_of.(key / n_ops), global_of.(key mod n_ops), d)
-                         :: !acc
+                       acc := (key / n_ops, key mod n_ops, d) :: !acc
                    done;
                    !acc);
                 pd_prefetches =
@@ -965,16 +911,14 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           else rcal_park t sidx t.ready_at.(sidx)
         end;
         progressed := true;
-        let op_id = body_i.op_id in
+        let op_id = t.op_ids.(t.pc) in
         if !measuring then begin
           t.counters.dispatched <- t.counters.dispatched + 1;
           (* opcode transition on the shared dispatch bus: the order-
              dependent switching activity the ground truth charges for *)
           if op_id <> t.last_dispatch_op && t.last_dispatch_op >= 0 then begin
             incr switch_events;
-            let key =
-              (local_of.(t.last_dispatch_op) * n_ops) + local_of.(op_id)
-            in
+            let key = (t.last_dispatch_op * n_ops) + op_id in
             transitions.(key) <- transitions.(key) + 1
           end
         end;
@@ -1100,7 +1044,7 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
               t.comp_cal.(cidx) <- t.comp_cal.(cidx) + 1;
               if !measuring then begin
                 c.instrs <- c.instrs + 1;
-                let l = local_of.(di.op_id) in
+                let l = t.op_ids.(e.di) in
                 op_issues.(l) <- op_issues.(l) + 1
               end;
               progressed := true;
@@ -1213,24 +1157,15 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   let activity = {
     measured_cycles;
     threads = Array.map counters_of threads;
-    op_issues =
-      (let a = Array.make (max 1 (n_global + 64)) 0 in
-       Array.iteri (fun l n -> a.(global_of.(l)) <- n) op_issues;
-       a);
+    ops;
+    op_issues;
     level_loads;
     switch_events = !switch_events;
     transitions =
-      (* ascending (prev, next) global id order, because the local ids
-         are monotone in the global ones; Power_sim re-sorts by opcode
-         *name* before summing so the energy is also independent of how
-         this machine's intern table grew *)
       (let acc = ref [] in
        for key = Array.length transitions - 1 downto 0 do
          let count = transitions.(key) in
-         if count > 0 then
-           acc :=
-             (global_of.(key / n_ops), global_of.(key mod n_ops), count)
-             :: !acc
+         if count > 0 then acc := (key / n_ops, key mod n_ops, count) :: !acc
        done;
        !acc);
     daf;
@@ -1239,5 +1174,5 @@ let run_ex ~uarch ~opmap ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
   in
   (activity, !captured_delta)
 
-let run ~uarch ~opmap ?mem_latency ?warmup ?measure ?period progs =
-  fst (run_ex ~uarch ~opmap ?mem_latency ?warmup ?measure ?period progs)
+let run ~uarch ?mem_latency ?warmup ?measure ?period progs =
+  fst (run_ex ~uarch ?mem_latency ?warmup ?measure ?period progs)

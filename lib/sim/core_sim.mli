@@ -9,19 +9,6 @@
     bubbles. It also records the activity the hidden power model needs
     (per-opcode issue counts, pipe opcode-switch events). *)
 
-type opmap
-(** Dense opcode-id interning shared by a set of runs. *)
-
-val opmap_create : unit -> opmap
-val opmap_size : opmap -> int
-val opmap_name : opmap -> int -> string
-
-val intern : opmap -> string -> int
-(** Id of a mnemonic, interning it if new. Domain-safe (the table is
-    locked), but id assignment then depends on arrival order: callers
-    that need reproducible ids must intern deterministically before
-    fanning work out (see {!Machine.run_batch}). *)
-
 type dprog
 (** A program deployed for one hardware thread: operands resolved to
     dense register ids and memory instructions bound to concrete
@@ -29,23 +16,28 @@ type dprog
 
 val deploy :
   uarch:Mp_uarch.Uarch_def.t ->
-  opmap:opmap ->
   streams:(int -> int array) ->
   Mp_codegen.Ir.t ->
   dprog
 (** [streams idx] supplies the cyclic address stream for the memory
     instruction at body index [idx] (raises if consulted for an index
     the caller did not prepare). An implicit loop-closing [bdnz] is
-    appended to the body. *)
+    appended to the body. Opcodes are identified by mnemonic; numbering
+    them is left to each run (see {!activity}). *)
 
 type activity = {
   measured_cycles : int;
   threads : Measurement.counters array;
-  op_issues : int array;        (** per opmap id, all threads *)
+  ops : string array;
+      (** the run's opcodes: the distinct mnemonics of its programs plus
+          the loop-closing [bdnz], sorted. An opcode's index here is its
+          {e run-local id}, so ascending id order is name order. *)
+  op_issues : int array;        (** per run-local id, all threads *)
   level_loads : int array;      (** demand loads per level L1,L2,L3,MEM *)
   switch_events : int;          (** dispatch-bus opcode transitions (total) *)
   transitions : (int * int * int) list;
-      (** per ordered opcode pair (prev id, next id, count) — the
+      (** per ordered opcode pair (prev id, next id, count) with a
+          non-zero count, ascending in (prev, next) — the
           order-dependent switching activity on the dispatch bus *)
   daf : float;                  (** mean data-activity factor of the programs *)
   prefetches : int;
@@ -53,7 +45,6 @@ type activity = {
 
 val run :
   uarch:Mp_uarch.Uarch_def.t ->
-  opmap:opmap ->
   ?mem_latency:int ->
   ?warmup:int ->
   ?measure:int ->
@@ -85,11 +76,12 @@ type period_delta = {
       (** per thread: instrs, dispatched, fxu, lsu, vsu, bru, st, l1,
           l2, l3, memc — {!Measurement.counters} minus cycles, in
           order *)
-  pd_op_issues : (int * int) list;  (** (opmap id, delta), sparse *)
+  pd_op_issues : int array;
+      (** per run-local id of the run's [activity.ops] *)
   pd_level_loads : int array;
   pd_switch : int;
   pd_transitions : (int * int * int) list;
-      (** (prev id, next id, delta) *)
+      (** (prev id, next id, delta), non-zero deltas, ascending *)
   pd_prefetches : int;
 }
 (** Exactly one fingerprinted period's worth of every measured
@@ -103,7 +95,6 @@ type period_delta = {
 
 val run_ex :
   uarch:Mp_uarch.Uarch_def.t ->
-  opmap:opmap ->
   ?mem_latency:int ->
   ?warmup:int ->
   ?measure:int ->

@@ -89,26 +89,34 @@ let class_base (i : Mp_isa.Instruction.t) =
 
 (* Bind the EPI function against a fresh copy of the shipped ISA; the
    lookup degrades gracefully (class base without jitter) for opcodes a
-   user adds later. *)
+   user adds later. The memo is filled here, for every shipped mnemonic
+   plus the loop-closing bdnz, and only read afterwards: [power7] is one
+   process-wide value that pool domains evaluate concurrently, and a
+   [Hashtbl] is not safe under concurrent writes. Any other mnemonic is
+   computed on each call. *)
 let make_opcode_epi () =
   let isa = Mp_isa.Power_isa.load () in
-  let cache = Hashtbl.create 256 in
+  let epi name =
+    let e =
+      match List.find_opt (fun (m, _, _) -> m = name) table3_targets with
+      | Some (_, target, adder) -> (target *. addic_energy) -. adder
+      | None ->
+        dyn_scale
+        *. (match Mp_isa.Isa_def.find isa name with
+            | Some i -> class_base i *. jitter ~lo:0.80 ~hi:1.10 name
+            | None -> if name = "bdnz" then 0.22 else 0.40)
+    in
+    Float.max 0.02 e
+  in
+  let memo = Hashtbl.create 256 in
+  List.iter
+    (fun name -> Hashtbl.replace memo name (epi name))
+    ("bdnz"
+     :: List.map
+          (fun i -> i.Mp_isa.Instruction.mnemonic)
+          (Mp_isa.Isa_def.instructions isa));
   fun name ->
-    match Hashtbl.find_opt cache name with
-    | Some e -> e
-    | None ->
-      let e =
-        match List.find_opt (fun (m, _, _) -> m = name) table3_targets with
-        | Some (_, target, adder) -> (target *. addic_energy) -. adder
-        | None ->
-          dyn_scale
-          *. (match Mp_isa.Isa_def.find isa name with
-              | Some i -> class_base i *. jitter ~lo:0.80 ~hi:1.10 name
-              | None -> if name = "bdnz" then 0.22 else 0.40)
-      in
-      let e = Float.max 0.02 e in
-      Hashtbl.add cache name e;
-      e
+    match Hashtbl.find_opt memo name with Some e -> e | None -> epi name
 
 (* Ordered-pair transition energy: how much the dispatch/issue buses
    toggle when opcode [b] follows opcode [a]. Deliberately irregular

@@ -4,7 +4,6 @@ open Mp_codegen
 type t = {
   uarch : Uarch_def.t;
   table : Energy_table.t;
-  opmap : Core_sim.opmap;
   seed : int;
   cache : Measurement_cache.t option;
   replay : Replay.t option;
@@ -15,7 +14,6 @@ let create ?(seed = 2012) ?(cache = true) ?(replay = true) uarch =
   {
     uarch;
     table = Energy_table.power7;
-    opmap = Core_sim.opmap_create ();
     seed;
     cache =
       (if cache then
@@ -32,19 +30,6 @@ let create ?(seed = 2012) ?(cache = true) ?(replay = true) uarch =
 let uarch t = t.uarch
 
 let measurement_cache t = t.cache
-
-(* Intern every opcode a program will deploy, in body order (exactly the
-   order [Core_sim.deploy] would), plus the implicit loop-closing bdnz.
-   Doing this eagerly — and, for batches, in job order before fanning
-   out — keeps id assignment independent of worker scheduling and of
-   cache hits, so energy sums (whose float addition order follows ids)
-   are bit-identical between serial and pooled runs. *)
-let pre_intern t (p : Ir.t) =
-  Array.iter
-    (fun (i : Ir.instr) ->
-      ignore (Core_sim.intern t.opmap i.Ir.op.Mp_isa.Instruction.mnemonic))
-    p.Ir.body;
-  ignore (Core_sim.intern t.opmap "bdnz")
 
 (* Default measured window, in loop iterations per thread. Exact
    fixed-point pipe arithmetic makes every bounded kernel's steady
@@ -107,7 +92,7 @@ let deploy_thread t rng (config : Uarch_def.config) tid (p : Ir.t) =
     | Some a -> a
     | None -> failwith "Machine: no stream prepared for memory instruction"
   in
-  Core_sim.deploy ~uarch:t.uarch ~opmap:t.opmap ~streams p
+  Core_sim.deploy ~uarch:t.uarch ~streams p
 
 let mem_demand (activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
@@ -149,7 +134,7 @@ let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
   in
   let run_once ~mem_latency =
     let dense () =
-      Core_sim.run_ex ~uarch:t.uarch ~opmap:t.opmap ~mem_latency ~warmup
+      Core_sim.run_ex ~uarch:t.uarch ~mem_latency ~warmup
         ~measure ?period (Lazy.force progs)
     in
     match t.replay with
@@ -159,11 +144,11 @@ let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
         Replay.key ~uarch:t.uarch_fp ~smt:config.Uarch_def.smt ~warmup
           ~mem_latency ?salt per_thread
       in
-      (match Replay.find table ~opmap:t.opmap ~daf ~warmup ~measure key with
+      (match Replay.find table ~daf ~warmup ~measure key with
        | Some activity -> activity
        | None ->
          let activity, pd = dense () in
-         Replay.record table ~opmap:t.opmap ~measure key activity pd;
+         Replay.record table ~measure key activity pd;
          activity)
   in
   let activity = run_once ~mem_latency:t.uarch.Uarch_def.mem_latency in
@@ -191,7 +176,7 @@ let simulate ?warmup ?measure ?period t (config : Uarch_def.config) (p : Ir.t) =
 
 let measurement_of t config name rng (activity : Core_sim.activity) =
   let reading =
-    Power_sim.sample ~table:t.table ~rng ~config ~opmap:t.opmap ~activity ()
+    Power_sim.sample ~table:t.table ~rng ~config ~activity ()
   in
   let instrs =
     Array.fold_left
@@ -230,7 +215,6 @@ let cached t ~warmup ~measure config name per_thread compute =
    dense runs are bit-identical, so their cache entries are
    interchangeable by construction. *)
 let run ?(warmup = 1) ?(measure = default_measure) ?period t config (p : Ir.t) =
-  pre_intern t p;
   cached t ~warmup ~measure config p.Ir.name [| p |] (fun () ->
       let rng, activity = simulate ~warmup ~measure ?period t config p in
       measurement_of t config p.Ir.name rng activity)
@@ -246,7 +230,6 @@ let run_heterogeneous ?(warmup = 1) ?(measure = default_measure) ?period t
   if n <> config.Uarch_def.smt then
     invalid_arg
       "Machine.run_heterogeneous: one program per hardware thread required";
-  List.iter (pre_intern t) programs;
   let per_thread = Array.of_list programs in
   let name = joint_name programs in
   cached t ~warmup ~measure config name per_thread (fun () ->
@@ -367,8 +350,8 @@ let batch_key t ~warmup ~measure config name per_thread =
     ?seed:(key_seed t per_thread) ~config ~warmup ~measure ~name per_thread
 
 (* Evaluate each distinct key once (first occurrence order, so worker
-   scheduling and opcode interning see the same sequence a deduped
-   caller would submit) and scatter results back positionally. *)
+   scheduling sees the same sequence a deduped caller would submit)
+   and scatter results back positionally. *)
 let dedup_map job_key exec jobs =
   let slot_of = Hashtbl.create 64 in
   let uniques = ref [] in
@@ -415,9 +398,6 @@ let resolve_hosts hosts shard_pool =
    [programs] lists and which [run_one] measures in-process. *)
 let batch ~programs ~run_one ~warmup ~measure ?period ?pool ?procs ?hosts
     ?shard_pool ?shard_policy ?(dedup = true) t jobs =
-  (* deterministic id assignment: intern everything in job order —
-     duplicates included — before any worker touches the opmap *)
-  List.iter (fun (_, x) -> List.iter (pre_intern t) (programs x)) jobs;
   let pool =
     match pool with Some p -> p | None -> Mp_util.Parallel.global ()
   in
@@ -549,9 +529,9 @@ let idle_reading t config =
 (* ----- worker-side executor ---------------------------------------------- *)
 
 (* One machine per distinct spec, memoized so consecutive request
-   frames of a campaign reuse a warm opmap, cache and replay
-   connection. Keyed on the uarch fingerprint — [machine_spec] values
-   can't be compared structurally (the uarch holds a closure). *)
+   frames of a campaign reuse a warm cache and replay connection.
+   Keyed on the uarch fingerprint — [machine_spec] values can't be
+   compared structurally (the uarch holds a closure). *)
 let worker_machines : (string * int * bool * bool, t) Hashtbl.t =
   Hashtbl.create 4
 
@@ -572,16 +552,13 @@ let machine_for_spec (s : Shard_exec.machine_spec) =
     Hashtbl.add worker_machines k m;
     m
 
-(* Execute a coordinator's request inside a worker process: same
-   pre-intern discipline and chunked domain-pool fan-out as
-   [run_batch], so a shard computes exactly what the coordinator
-   would. *)
+(* Execute a coordinator's request inside a worker process: the same
+   chunked domain-pool fan-out as [run_batch], and measurements are
+   deterministic given the job, so a shard computes exactly what the
+   coordinator would. *)
 let exec_request (rq : Shard_exec.request) =
   let t = machine_for_spec rq.Shard_exec.rq_spec in
   let jobs = Array.to_list rq.Shard_exec.rq_jobs in
-  List.iter
-    (fun (j : Shard_exec.job) -> List.iter (pre_intern t) j.Shard_exec.j_programs)
-    jobs;
   let warmup = rq.Shard_exec.rq_warmup in
   let measure = rq.Shard_exec.rq_measure in
   let period = rq.Shard_exec.rq_period in

@@ -76,9 +76,10 @@ val run_batch :
     [pool] (default: {!Mp_util.Parallel.global}). Results come back in
     job order and are {e bit-identical} to running the same jobs
     serially through {!run} on a fresh machine: per-run RNGs are seeded
-    from (seed, name, configuration) and opcode ids are pre-interned in
-    job order before the fan-out, so no float is summed in a different
-    order. Jobs carry a cost hint (threads × loop size) so the
+    from (seed, name, configuration), and every per-run counter and
+    energy sum depends only on the job itself (opcodes are identified
+    by mnemonic, never by a shared numbering), so no float is summed in
+    a different order. Jobs carry a cost hint (threads × loop size) so the
     work-stealing pool starts the heaviest simulations first — a
     scheduling detail with no observable effect on results.
 
@@ -130,8 +131,7 @@ val run_heterogeneous_batch :
     fan-out across [pool], under the same determinism contract (and
     the same [dedup] duplicate collapsing, [procs]/[hosts]/[shard_pool]
     process sharding) as {!run_batch}: results in job order,
-    bit-identical to the serial loop (all per-thread programs are
-    pre-interned in job order before any worker runs). *)
+    bit-identical to the serial loop. *)
 
 val batch_dup_collapsed : unit -> int
 (** Process-wide count of batch positions served by collapsing onto a

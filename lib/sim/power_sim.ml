@@ -13,27 +13,20 @@ let static_power ~(table : Energy_table.t) ~(config : Uarch_def.config) =
   +. (table.cmp_quad *. n *. n)
   +. (if config.Uarch_def.smt > 1 then table.smt_overhead *. n else 0.0)
 
-let core_dynamic ~(table : Energy_table.t) ~opmap ~(activity : Core_sim.activity) =
+let core_dynamic ~(table : Energy_table.t) ~(activity : Core_sim.activity) =
   let cycles = float_of_int (max 1 activity.Core_sim.measured_cycles) in
   let scale = table.data_scale activity.Core_sim.daf in
-  (* Sum opcode and transition energies in opcode-NAME order, never in
-     intern-id order: ids reflect the machine's interning history, and
-     float summation order must not — otherwise a measurement served
-     from the persistent cache to a machine with a different history
-     would differ in the last bit from a fresh simulation. *)
-  let issued = ref [] in
+  let ops = activity.Core_sim.ops in
+  (* Run-local ids number the opcodes in name order, so these folds sum
+     in opcode-name order: the float result depends only on the
+     mnemonics and their counts, never on how a run numbered them. *)
+  let opcode_energy = ref 0.0 in
   Array.iteri
-    (fun id count ->
+    (fun i count ->
       if count > 0 then
-        issued := (Core_sim.opmap_name opmap id, count) :: !issued)
+        opcode_energy :=
+          !opcode_energy +. (float_of_int count *. table.opcode_epi ops.(i)))
     activity.Core_sim.op_issues;
-  let opcode_energy =
-    List.fold_left
-      (fun acc (name, count) ->
-        acc +. (float_of_int count *. table.opcode_epi name))
-      0.0
-      (List.sort compare !issued)
-  in
   let cache_energy = ref 0.0 in
   Array.iteri
     (fun lid count ->
@@ -53,30 +46,25 @@ let core_dynamic ~(table : Energy_table.t) ~opmap ~(activity : Core_sim.activity
   let transition_energy =
     List.fold_left
       (fun acc (a, b, count) ->
-        acc +. (float_of_int count *. table.transition_energy a b))
-      0.0
-      (List.sort compare
-         (List.map
-            (fun (a, b, count) ->
-              (Core_sim.opmap_name opmap a, Core_sim.opmap_name opmap b, count))
-            activity.Core_sim.transitions))
+        acc +. (float_of_int count *. table.transition_energy ops.(a) ops.(b)))
+      0.0 activity.Core_sim.transitions
   in
-  ((opcode_energy *. scale)
+  ((!opcode_energy *. scale)
    +. !cache_energy
    +. (stores *. table.store_energy)
    +. (dispatched *. table.dispatch_energy)
    +. transition_energy)
   /. cycles
 
-let chip_power ~table ~config ~opmap ~activity =
-  let dyn_core = core_dynamic ~table ~opmap ~activity in
+let chip_power ~table ~config ~activity =
+  let dyn_core = core_dynamic ~table ~activity in
   let chip_dyn = dyn_core *. float_of_int config.Uarch_def.cores in
   static_power ~table ~config +. table.saturate chip_dyn
 
 let idle_power ~table ~config = static_power ~table ~config
 
-let sample ~table ~rng ?(windows = 24) ~config ~opmap ~activity () =
-  let p = chip_power ~table ~config ~opmap ~activity in
+let sample ~table ~rng ?(windows = 24) ~config ~activity () =
+  let p = chip_power ~table ~config ~activity in
   let trace =
     Array.init windows (fun _ ->
         let rel = Mp_util.Rng.gaussian rng ~mu:1.0 ~sigma:table.noise_rel in

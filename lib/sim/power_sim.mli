@@ -8,25 +8,17 @@ type reading = {
   trace : float array;     (** individual 1-ms-style sensor samples *)
 }
 
-val chip_power :
-  table:Energy_table.t ->
-  config:Mp_uarch.Uarch_def.config ->
-  opmap:Core_sim.opmap ->
-  activity:Core_sim.activity ->
-  float
-(** Noiseless chip power for one core's measured activity replicated
-    over [config.cores] cores. *)
-
 val sample :
   table:Energy_table.t ->
   rng:Mp_util.Rng.t ->
   ?windows:int ->
   config:Mp_uarch.Uarch_def.config ->
-  opmap:Core_sim.opmap ->
   activity:Core_sim.activity ->
   unit ->
   reading
-(** Apply sensor noise over [windows] (default 24) sampling windows. *)
+(** Noiseless chip power for one core's measured activity replicated
+    over [config.cores] cores, with sensor noise applied over [windows]
+    (default 24) sampling windows. *)
 
 val idle_power : table:Energy_table.t -> config:Mp_uarch.Uarch_def.config -> float
 (** Chip power with enabled-but-idle cores — what a measurement of an

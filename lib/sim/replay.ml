@@ -30,11 +30,11 @@
    The measured window is NOT part of the key: one record serves every
    admissible window through the period step.
 
-   Counters are stored by opcode NAME, not intern id: ids reflect one
-   machine's interning history, names are canonical. Power_sim sums
-   energies in name order for exactly this reason, so reifying a
-   record against any machine's opmap reproduces the measurement
-   bit-for-bit. *)
+   Per-opcode counters are stored as the run produced them: dense
+   arrays and ascending pair lists over the run-local ids of the
+   snapshot's [ops] (the run's mnemonics, sorted). Every run of a key
+   has the same programs, hence the same [ops], so a base and the
+   period delta index the same opcodes and add up elementwise. *)
 
 open Mp_codegen
 
@@ -44,26 +44,15 @@ type snapshot = {
   s_measure : int;
   s_cycles : int;
   s_counters : int array array; (* per thread: raw_counters in order *)
-  s_op_issues : (string * int) list;
+  s_ops : string array;
+  s_op_issues : int array;
   s_level_loads : int array;
   s_switch : int;
-  s_transitions : (string * string * int) list;
+  s_transitions : (int * int * int) list;
   s_prefetches : int;
 }
 
-type period = {
-  p_iters : int;
-  p_cycles : int;
-  p_min_total : int;
-  p_counters : int array array;
-  p_op_issues : (string * int) list;
-  p_level_loads : int array;
-  p_switch : int;
-  p_transitions : (string * string * int) list;
-  p_prefetches : int;
-}
-
-type record = { bases : snapshot list; period : period option }
+type record = { bases : snapshot list; period : Core_sim.period_delta option }
 
 (* Bound the per-key base list: distinct windows of one program are
    few in practice (default and bootstrap's 2x default), and any base
@@ -78,7 +67,7 @@ type t = {
   log : Mp_util.Disk_log.t option;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let hits_ctr = Atomic.make 0
 let misses_ctr = Atomic.make 0
@@ -163,65 +152,31 @@ let counters_to_ints (c : Measurement.counters) =
     [| c.instrs; c.dispatched; c.fxu; c.lsu; c.vsu; c.bru; c.st;
        c.l1; c.l2; c.l3; c.mem |]
 
-let op_issues_by_name ~opmap op_issues =
-  let acc = ref [] in
-  for id = Array.length op_issues - 1 downto 0 do
-    if op_issues.(id) <> 0 then
-      acc := (Core_sim.opmap_name opmap id, op_issues.(id)) :: !acc
-  done;
-  !acc
-
-let transitions_by_name ~opmap trans =
-  List.map
-    (fun (a, b, c) ->
-      (Core_sim.opmap_name opmap a, Core_sim.opmap_name opmap b, c))
-    trans
-
-let snapshot_of_activity ~opmap ~measure (a : Core_sim.activity) =
+let snapshot_of_activity ~measure (a : Core_sim.activity) =
   {
     s_measure = measure;
     s_cycles = a.Core_sim.measured_cycles;
     s_counters = Array.map counters_to_ints a.Core_sim.threads;
-    s_op_issues = op_issues_by_name ~opmap a.Core_sim.op_issues;
-    s_level_loads = Array.copy a.Core_sim.level_loads;
+    s_ops = a.Core_sim.ops;
+    s_op_issues = a.Core_sim.op_issues;
+    s_level_loads = a.Core_sim.level_loads;
     s_switch = a.Core_sim.switch_events;
-    s_transitions = transitions_by_name ~opmap a.Core_sim.transitions;
+    s_transitions = a.Core_sim.transitions;
     s_prefetches = a.Core_sim.prefetches;
   }
 
-let period_of_delta ~opmap (pd : Core_sim.period_delta) =
-  {
-    p_iters = pd.Core_sim.pd_period_iters;
-    p_cycles = pd.Core_sim.pd_cycles;
-    p_min_total = pd.Core_sim.pd_min_total;
-    p_counters = pd.Core_sim.pd_counters;
-    p_op_issues =
-      List.map
-        (fun (id, d) -> (Core_sim.opmap_name opmap id, d))
-        pd.Core_sim.pd_op_issues;
-    p_level_loads = pd.Core_sim.pd_level_loads;
-    p_switch = pd.Core_sim.pd_switch;
-    p_transitions = transitions_by_name ~opmap pd.Core_sim.pd_transitions;
-    p_prefetches = pd.Core_sim.pd_prefetches;
-  }
-
-(* [base + k * period], reified against [opmap]. [k] may be negative
-   (extrapolating down to a shorter window); every resulting counter
-   equals the corresponding dense run's and is therefore >= 0. *)
-let reify ~opmap ~daf (b : snapshot) k (p : period option) =
-  let step fs fp = match p with None -> fs | Some p -> fs + (k * fp p) in
-  let cycles =
-    step b.s_cycles (fun p -> p.p_cycles)
-  in
+(* [base + k * period], elementwise. [k] may be negative (extrapolating
+   down to a shorter window); every resulting counter equals the
+   corresponding dense run's and is therefore >= 0. *)
+let reify ~daf (b : snapshot) k (p : Core_sim.period_delta option) =
+  let step base f = match p with None -> base | Some p -> base + (k * f p) in
+  let cycles = step b.s_cycles (fun p -> p.Core_sim.pd_cycles) in
   let cyc_f = float_of_int cycles in
   let threads =
     Array.mapi
       (fun t bc ->
         let v i =
-          float_of_int
-            (match p with
-             | None -> bc.(i)
-             | Some p -> bc.(i) + (k * p.p_counters.(t).(i)))
+          float_of_int (step bc.(i) (fun p -> p.Core_sim.pd_counters.(t).(i)))
         in
         {
           Measurement.cycles = cyc_f;
@@ -239,68 +194,37 @@ let reify ~opmap ~daf (b : snapshot) k (p : period option) =
         })
       b.s_counters
   in
-  (* merge name-keyed counts: base + k * period, dropping zeros so the
-     reified activity matches what a dense run reports (dense lists
-     only live entries) *)
-  let merge base step_list =
-    let tbl = Hashtbl.create 32 in
-    List.iter (fun (n, c) -> Hashtbl.replace tbl n c) base;
-    (match p with
-     | None -> ()
-     | Some _ ->
-       List.iter
-         (fun (n, d) ->
-           let cur = Option.value ~default:0 (Hashtbl.find_opt tbl n) in
-           Hashtbl.replace tbl n (cur + (k * d)))
-         step_list);
-    tbl
+  (* transitions through a dense pair matrix, as Core_sim counts them:
+     zeros drop out and the list comes back ascending *)
+  let n = Array.length b.s_ops in
+  let pairs = Array.make (n * n) 0 in
+  let add scale =
+    List.iter (fun (x, y, c) ->
+        pairs.((x * n) + y) <- pairs.((x * n) + y) + (scale * c))
   in
-  let op_tbl =
-    merge b.s_op_issues (match p with Some p -> p.p_op_issues | None -> [])
-  in
-  let max_id = ref 0 in
-  let op_ids =
-    Hashtbl.fold
-      (fun name count acc ->
-        let id = Core_sim.intern opmap name in
-        if id > !max_id then max_id := id;
-        (id, count) :: acc)
-      op_tbl []
-  in
-  let op_issues = Array.make (!max_id + 1) 0 in
-  List.iter (fun (id, c) -> op_issues.(id) <- c) op_ids;
-  let trans_tbl = Hashtbl.create 32 in
-  let add_trans scale l =
-    List.iter
-      (fun (a, b, c) ->
-        let k' = (a, b) in
-        let cur = Option.value ~default:0 (Hashtbl.find_opt trans_tbl k') in
-        Hashtbl.replace trans_tbl k' (cur + (scale * c)))
-      l
-  in
-  add_trans 1 b.s_transitions;
-  (match p with None -> () | Some p -> add_trans k p.p_transitions);
-  let transitions =
-    Hashtbl.fold
-      (fun (a, b) c acc ->
-        if c <> 0 then (Core_sim.intern opmap a, Core_sim.intern opmap b, c) :: acc
-        else acc)
-      trans_tbl []
-    |> List.sort compare
-  in
-  let level_loads =
-    Array.init 4 (fun i ->
-        step b.s_level_loads.(i) (fun p -> p.p_level_loads.(i)))
-  in
+  add 1 b.s_transitions;
+  Option.iter (fun p -> add k p.Core_sim.pd_transitions) p;
+  let transitions = ref [] in
+  for key = (n * n) - 1 downto 0 do
+    if pairs.(key) <> 0 then
+      transitions := (key / n, key mod n, pairs.(key)) :: !transitions
+  done;
   {
     Core_sim.measured_cycles = cycles;
     threads;
-    op_issues;
-    level_loads;
-    switch_events = step b.s_switch (fun p -> p.p_switch);
-    transitions;
+    ops = b.s_ops;
+    op_issues =
+      Array.mapi
+        (fun i c -> step c (fun p -> p.Core_sim.pd_op_issues.(i)))
+        b.s_op_issues;
+    level_loads =
+      Array.mapi
+        (fun i c -> step c (fun p -> p.Core_sim.pd_level_loads.(i)))
+        b.s_level_loads;
+    switch_events = step b.s_switch (fun p -> p.Core_sim.pd_switch);
+    transitions = !transitions;
     daf;
-    prefetches = step b.s_prefetches (fun p -> p.p_prefetches);
+    prefetches = step b.s_prefetches (fun p -> p.Core_sim.pd_prefetches);
   }
 
 (* ----- lookup and recording ---------------------------------------------- *)
@@ -341,18 +265,19 @@ let lookup t key =
        Some merged)
 
 (* A window [measure] is admissible from base [b] with period [p] when
-   the step count k = (measure - b.s_measure) / p_iters is integral
-   and both totals stay at or above [p_min_total]:
+   the step count k = (measure - b.s_measure) / pd_period_iters is
+   integral and both totals stay at or above [pd_min_total]:
 
    - The simulated trajectory up to the fingerprint match is a prefix
-     of every run with total >= p_min_total (below it the run ends
+     of every run with total >= pd_min_total (below it the run ends
      before reaching the matched state, so its counters are not of the
      head + k*period + tail form).
-   - With every thread advancing p_iters iterations per period, a run
-     whose total is s*p_iters larger credits exactly s more periods
-     and then simulates a bit-identical tail: the skip threshold
-     total - n*p_iters is unchanged. Core_sim's period skipping is
-     asserted bit-identical to dense simulation, so
+   - With every thread advancing pd_period_iters iterations per
+     period, a run whose total is s*pd_period_iters larger credits
+     exactly s more periods and then simulates a bit-identical tail:
+     the skip threshold total - n*pd_period_iters is unchanged.
+     Core_sim's period skipping is asserted bit-identical to dense
+     simulation, so
      dense(measure) = dense(b.s_measure) + k * delta, in both
      directions.
 
@@ -363,20 +288,20 @@ let find_base (r : record) ~warmup ~measure =
   | Some b -> Some (b, 0)
   | None ->
     (match r.period with
-     | Some p when p.p_iters > 0 ->
+     | Some p when p.Core_sim.pd_period_iters > 0 ->
        List.find_map
          (fun b ->
            let diff = measure - b.s_measure in
            if
-             diff mod p.p_iters = 0
-             && warmup + measure >= p.p_min_total
-             && warmup + b.s_measure >= p.p_min_total
-           then Some (b, diff / p.p_iters)
+             diff mod p.Core_sim.pd_period_iters = 0
+             && warmup + measure >= p.Core_sim.pd_min_total
+             && warmup + b.s_measure >= p.Core_sim.pd_min_total
+           then Some (b, diff / p.Core_sim.pd_period_iters)
            else None)
          r.bases
      | _ -> None)
 
-let find t ~opmap ~daf ~warmup ~measure key =
+let find t ~daf ~warmup ~measure key =
   match lookup t key with
   | None ->
     Atomic.incr misses_ctr;
@@ -388,12 +313,11 @@ let find t ~opmap ~daf ~warmup ~measure key =
        None
      | Some (b, k) ->
        Atomic.incr hits_ctr;
-       Some (reify ~opmap ~daf b k r.period))
+       Some (reify ~daf b k r.period))
 
-let record t ~opmap ~measure key (activity : Core_sim.activity)
+let record t ~measure key (activity : Core_sim.activity)
     (pd : Core_sim.period_delta option) =
-  let b = snapshot_of_activity ~opmap ~measure activity in
-  let p = Option.map (period_of_delta ~opmap) pd in
+  let b = snapshot_of_activity ~measure activity in
   Mutex.lock t.lock;
   let cur =
     Option.value ~default:{ bases = []; period = None }
@@ -408,7 +332,7 @@ let record t ~opmap ~measure key (activity : Core_sim.activity)
         List.filteri (fun i _ -> i < max_bases) bs
       else bs
   in
-  let period = match cur.period with Some _ -> cur.period | None -> p in
+  let period = match cur.period with Some _ -> cur.period | None -> pd in
   let merged = { bases; period } in
   let changed = merged <> cur in
   if changed then Hashtbl.replace t.table key merged;

@@ -19,9 +19,9 @@
     randomness (memory address streams) additionally fold the RNG
     inputs via [salt]. The measured window is deliberately {e not}
     part of the key — one record serves every admissible window
-    through the period step. Counters are stored by opcode name, so a
-    record reifies bit-identically against any machine's intern table
-    ({!Power_sim} sums energies in name order).
+    through the period step. Per-opcode counters are stored over the
+    run's sorted mnemonics ([Core_sim.activity.ops]), which every run
+    of a key shares, so a base and a period delta add up elementwise.
 
     The whole layer is disabled by [MP_REPLAY=off] (accepted spellings
     as for [MP_PERIOD]); {!Machine.create} then simulates every run
@@ -69,7 +69,6 @@ val key :
 
 val find :
   t ->
-  opmap:Core_sim.opmap ->
   daf:float ->
   warmup:int ->
   measure:int ->
@@ -86,7 +85,6 @@ val find :
 
 val record :
   t ->
-  opmap:Core_sim.opmap ->
   measure:int ->
   string ->
   Core_sim.activity ->

@@ -13,8 +13,7 @@
     depends only on the slot count, never on a slot's transport.
     Results stream back and are scattered positionally; execution is
     bit-identical to in-process evaluation (measurements are
-    deterministic given the job, and {!Power_sim} sums energies in
-    opcode-name order, so a worker's independent intern history cannot
+    deterministic given the job: no state a worker accumulates can
     reorder a float sum).
 
     {2 Wire protocol}
@@ -49,7 +48,7 @@
 
 (** Everything needed to reconstruct an equivalent [Machine.t] in the
     worker (the worker memoizes machines per spec, so consecutive
-    batches reuse warm opmaps). *)
+    batches reuse a warm cache). *)
 type machine_spec = {
   ms_seed : int;
   ms_cache : bool;
@@ -94,11 +93,6 @@ val env_procs : unit -> int
     workers; ["auto"] picks [detected_cores / pool_size] (at least 1).
     Always [0] inside a worker process — workers never spawn process
     pools of their own. *)
-
-val env_timeout_s : unit -> float
-(** [MP_PROC_TIMEOUT_S] parsed as a positive number of seconds per
-    shard exchange (default 300). A worker that exceeds it is treated
-    as crashed. *)
 
 val env_hosts : unit -> (string * int) list
 (** [MP_HOSTS] parsed: a comma-separated list of [host:port] remote
@@ -173,10 +167,6 @@ val chunks_speculated : unit -> int
 val chunks_cancelled : unit -> int
 (** Sum of [sl_cancelled] over all slots. *)
 
-val in_worker_process : unit -> bool
-(** True when this process was spawned as a shard worker (pipe or TCP)
-    or is currently serving remote coordinators via {!serve}. *)
-
 val shard_index : shards:int -> Mp_codegen.Ir.t list -> int
 (** The placement function: an FNV fold of the per-thread programs'
     {!Mp_codegen.Ir.struct_hash} values, mod [shards]. Exposed pure so
@@ -234,14 +224,12 @@ val create_pool :
     [("MP_POOL_SIZE", d)] to control each worker's domain count; the
     worker flag, [MP_PROCS=0] and [MP_HOSTS=""] are always set (remote
     peers bring their own environment). [timeout_s] defaults to
-    {!env_timeout_s}. *)
+    [MP_PROC_TIMEOUT_S] parsed as a positive number of seconds per
+    shard exchange (300 when unset); a worker that exceeds it is
+    treated as crashed. *)
 
 val pool_size : pool -> int
 (** Local + remote slots — the [shards] the placement fold sees. *)
-
-val local_size : pool -> int
-
-val remote_size : pool -> int
 
 val procpool : pool -> Mp_util.Procpool.t
 (** The pipe transport, exposed for tests (crash injection via

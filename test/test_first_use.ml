@@ -34,9 +34,8 @@ let test_first_use_race () =
   in
   let before_namespace = barrier () and before_run = barrier () in
   let first_calls () =
-    let opmap = Core_sim.opmap_create () in
     let prog =
-      Core_sim.deploy ~uarch ~opmap
+      Core_sim.deploy ~uarch
         ~streams:(fun _ -> invalid_arg "no memory instructions")
         p
     in
@@ -49,7 +48,7 @@ let test_first_use_race () =
       | exception e -> Error e
     in
     before_run ();
-    let act = Core_sim.run ~uarch ~opmap ~measure:8 [| prog |] in
+    let act = Core_sim.run ~uarch ~measure:8 [| prog |] in
     (Result.fold ~ok:Fun.id ~error:raise ns, act.Core_sim.measured_cycles)
   in
   let domains = List.init n_domains (fun _ -> Domain.spawn first_calls) in

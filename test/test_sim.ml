@@ -305,6 +305,40 @@ let test_heterogeneous_determinism () =
   Alcotest.(check (float 1e-9)) "same power" m1.Measurement.power
     m2.Measurement.power
 
+let test_opcode_epi_concurrent () =
+  (* every shipped mnemonic, bdnz and a thousand user-added ones,
+     evaluated from several domains at once before any serial call:
+     each domain must read what a serial evaluation computes *)
+  let names =
+    Array.of_list
+      ("bdnz"
+       :: List.map
+            (fun (i : Mp_isa.Instruction.t) -> i.Mp_isa.Instruction.mnemonic)
+            (Mp_isa.Isa_def.instructions (Mp_isa.Power_isa.load ()))
+       @ List.init 1000 (Printf.sprintf "user%04d"))
+  in
+  let epi = Energy_table.power7.Energy_table.opcode_epi in
+  let n = Array.length names in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            (* each domain walks the names from its own offset *)
+            let got = Array.make n 0.0 in
+            for k = 0 to n - 1 do
+              let i = (k + (d * n / 4)) mod n in
+              got.(i) <- epi names.(i)
+            done;
+            got))
+  in
+  let results = List.map Domain.join domains in
+  let serial = Array.map epi names in
+  List.iteri
+    (fun d got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d agrees with serial" d)
+        true (got = serial))
+    results
+
 let test_smt_fairness () =
   (* two identical threads contending for the same pipes must receive
      comparable shares — the issue arbitration rotates *)
@@ -455,9 +489,9 @@ let test_disk_cache_roundtrip () =
       (* reference value, no caching at all *)
       let m0 = Machine.create ~cache:false a.Arch.uarch in
       let r0 = Machine.run m0 c p in
-      (* m1 interns [other] first, so its intern-table history differs
-         from a machine that only ever saw [p] — the disk entry it
-         writes must be bit-identical anyway *)
+      (* m1 measures [other] first, so its history differs from a
+         machine that only ever saw [p] — the disk entry it writes must
+         be bit-identical anyway *)
       let m1 = Machine.create a.Arch.uarch in
       ignore (Machine.run m1 c other);
       let r1 = Machine.run m1 c p in
@@ -466,8 +500,8 @@ let test_disk_cache_roundtrip () =
       let dir = Sys.getenv "MP_CACHE_DIR" in
       Alcotest.(check bool) "cache dir populated" true
         (Sys.file_exists dir && Array.length (Sys.readdir dir) > 0);
-      (* a fresh machine with a different intern history: in-memory
-         cold, disk warm *)
+      (* a fresh machine with a different history: in-memory cold, disk
+         warm *)
       let m2 = Machine.create a.Arch.uarch in
       let r2 = Machine.run m2 c p in
       Alcotest.(check bool) "disk-served result bit-identical" true
@@ -576,10 +610,9 @@ let test_replay_store_concurrent_writers () =
   let p = mono a "mulld" in
   (* a dense single-thread run at the Core_sim level supplies the
      ground-truth activity and period delta a replay record stores *)
-  let opmap = Core_sim.opmap_create () in
-  let dp = Core_sim.deploy ~uarch:u ~opmap ~streams:(fun _ -> [||]) p in
+  let dp = Core_sim.deploy ~uarch:u ~streams:(fun _ -> [||]) p in
   let activity, pd =
-    Core_sim.run_ex ~uarch:u ~opmap ~warmup:1 ~measure:4 [| dp |]
+    Core_sim.run_ex ~uarch:u ~warmup:1 ~measure:4 [| dp |]
   in
   let fp = Measurement_cache.uarch_fingerprint u in
   let key =
@@ -590,7 +623,7 @@ let test_replay_store_concurrent_writers () =
   let writer () =
     let t = Replay.create ~disk_dir:dir () in
     for _ = 1 to 20 do
-      Replay.record t ~opmap ~measure:4 key activity pd
+      Replay.record t ~measure:4 key activity pd
     done
   in
   let d1 = Domain.spawn writer and d2 = Domain.spawn writer in
@@ -601,14 +634,14 @@ let test_replay_store_concurrent_writers () =
      itself is covered by the replay suite) *)
   let daf = Ir.data_activity_factor p in
   let reference = Replay.create () in
-  Replay.record reference ~opmap ~measure:4 key activity pd;
+  Replay.record reference ~measure:4 key activity pd;
   let expect =
-    match Replay.find reference ~opmap ~daf ~warmup:1 ~measure:4 key with
+    match Replay.find reference ~daf ~warmup:1 ~measure:4 key with
     | Some a -> a
     | None -> Alcotest.fail "reference table did not serve its own record"
   in
   let t = Replay.create ~disk_dir:dir () in
-  (match Replay.find t ~opmap ~daf ~warmup:1 ~measure:4 key with
+  (match Replay.find t ~daf ~warmup:1 ~measure:4 key with
    | Some got ->
      Alcotest.(check bool) "raced store serves the uncontended record" true
        (compare got expect = 0)
@@ -1263,11 +1296,8 @@ let test_period_aperiodic_fallback () =
   let p = mono a ~size:8 "lbz" in
   let aper = Array.init 127 (fun i -> i * 7919 * 128) in
   let run_with period =
-    (* fresh opmap per run: both runs intern the same names in the same
-       order, so activities are comparable field by field *)
-    let opmap = Core_sim.opmap_create () in
-    let dp = Core_sim.deploy ~uarch:u ~opmap ~streams:(fun _ -> aper) p in
-    Core_sim.run ~uarch:u ~opmap ~warmup:1 ~measure:32 ~period [| dp |]
+    let dp = Core_sim.deploy ~uarch:u ~streams:(fun _ -> aper) p in
+    Core_sim.run ~uarch:u ~warmup:1 ~measure:32 ~period [| dp |]
   in
   let hits0 = Core_sim.period_hits () in
   let dense = run_with false in
@@ -1543,17 +1573,81 @@ let hand_streams ~thread ~footprint ~lines idx =
   Array.init lines (fun j ->
       ((thread + 1) lsl 26) + (((((idx * lines) + j) * 97) mod footprint) * 128))
 
-(* An opmap that already holds 150 unrelated mnemonics plus [bdnz]:
-   the kernels' opcodes intern after it, so their global ids are far
-   from the dense run-local ids and the loop-closing branch sorts
-   before them. *)
-let pregrown_opmap () =
-  let m = Core_sim.opmap_create () in
-  for i = 0 to 149 do
-    ignore (Core_sim.intern m (Printf.sprintf "pad%03d" i))
-  done;
-  ignore (Core_sim.intern m "bdnz");
-  m
+(* The layout [golden_digests] were taken in, when a per-machine intern
+   table numbered opcodes: the old [activity] and [period_delta] records
+   field for field, with opcode ids from a table that already held 150
+   unrelated mnemonics ([pad000]..[pad149] = 0..149) and [bdnz] (150)
+   before the kernel's own mnemonics, numbered in first-seen body order.
+   [op_issues] had the table's size plus 64 entries, the per-period
+   opcode deltas were a sparse (id, delta) list, and both transition
+   lists ascended in those ids. *)
+type legacy_activity = {
+  l_measured_cycles : int;
+  l_threads : Measurement.counters array;
+  l_op_issues : int array;
+  l_level_loads : int array;
+  l_switch_events : int;
+  l_transitions : (int * int * int) list;
+  l_daf : float;
+  l_prefetches : int;
+}
+
+type legacy_delta = {
+  l_period_iters : int;
+  l_cycles : int;
+  l_min_total : int;
+  l_counters : int array array;
+  l_pd_op_issues : (int * int) list;
+  l_pd_level_loads : int array;
+  l_pd_switch : int;
+  l_pd_transitions : (int * int * int) list;
+  l_pd_prefetches : int;
+}
+
+let legacy_layout (p : Ir.t) ((a : Core_sim.activity), pd) =
+  let ids = Hashtbl.create 256 in
+  let number name =
+    if not (Hashtbl.mem ids name) then Hashtbl.add ids name (Hashtbl.length ids)
+  in
+  for i = 0 to 149 do number (Printf.sprintf "pad%03d" i) done;
+  number "bdnz";
+  Array.iter
+    (fun (i : Ir.instr) -> number i.Ir.op.Mp_isa.Instruction.mnemonic)
+    p.Ir.body;
+  let id l = Hashtbl.find ids a.Core_sim.ops.(l) in
+  let pairs l =
+    List.sort compare (List.map (fun (x, y, c) -> (id x, id y, c)) l)
+  in
+  let op_issues = Array.make (Hashtbl.length ids + 64) 0 in
+  Array.iteri (fun l n -> op_issues.(id l) <- n) a.Core_sim.op_issues;
+  let delta (d : Core_sim.period_delta) =
+    let issues = ref [] in
+    Array.iteri
+      (fun l n -> if n <> 0 then issues := (id l, n) :: !issues)
+      d.Core_sim.pd_op_issues;
+    {
+      l_period_iters = d.Core_sim.pd_period_iters;
+      l_cycles = d.Core_sim.pd_cycles;
+      l_min_total = d.Core_sim.pd_min_total;
+      l_counters = d.Core_sim.pd_counters;
+      l_pd_op_issues = List.sort compare !issues;
+      l_pd_level_loads = d.Core_sim.pd_level_loads;
+      l_pd_switch = d.Core_sim.pd_switch;
+      l_pd_transitions = pairs d.Core_sim.pd_transitions;
+      l_pd_prefetches = d.Core_sim.pd_prefetches;
+    }
+  in
+  ( {
+      l_measured_cycles = a.Core_sim.measured_cycles;
+      l_threads = a.Core_sim.threads;
+      l_op_issues = op_issues;
+      l_level_loads = a.Core_sim.level_loads;
+      l_switch_events = a.Core_sim.switch_events;
+      l_transitions = pairs a.Core_sim.transitions;
+      l_daf = a.Core_sim.daf;
+      l_prefetches = a.Core_sim.prefetches;
+    },
+    Option.map delta pd )
 
 let golden_kernels a =
   let branchy =
@@ -1587,20 +1681,19 @@ let golden_kernels a =
 
 let golden_run a ~smt ~period (p, footprint, lines) =
   let u = a.Arch.uarch in
-  let opmap = pregrown_opmap () in
   let progs =
     Array.init smt (fun thread ->
-        Core_sim.deploy ~uarch:u ~opmap
+        Core_sim.deploy ~uarch:u
           ~streams:(hand_streams ~thread ~footprint ~lines) p)
   in
-  Core_sim.run_ex ~uarch:u ~opmap ~warmup:1 ~measure:96 ~period progs
+  legacy_layout p (Core_sim.run_ex ~uarch:u ~warmup:1 ~measure:96 ~period progs)
 
-(* Digests of Marshal.to_string (activity, period_delta) [No_sharing],
-   computed on the simulator as it stood before opcode ids became
-   run-local and the calendars became latency-sized. Every other
-   bit-identity suite compares two modes of the same build; these pin
-   the result across builds, so a remap that reorders [transitions] or
-   renumbers [op_issues] shows up here. *)
+(* Digests of Marshal.to_string (activity, period_delta) [No_sharing]
+   in [legacy_layout], computed on the simulator as it stood before
+   opcode ids became run-local and the calendars became latency-sized.
+   Every other bit-identity suite compares two modes of the same build;
+   these pin the result across builds, so a remap that reorders
+   [transitions] or misattributes [op_issues] shows up here. *)
 let golden_digests =
   [ ("fadd chain smt1 period", "b9ad9bc21b980c221c49af9ddd3eddf4");
     ("fadd chain smt1 dense", "b3add4b9b4b5c566f30deb7b3fc94a98");
@@ -1675,9 +1768,8 @@ let test_calendar_long_latency () =
       mono a ~size:4 ~dep ~mem_mix:[ (Mp_uarch.Cache_geometry.MEM, 1.0) ] "ld"
     in
     let run ~mem_latency ~period =
-      let opmap = Core_sim.opmap_create () in
-      let dp = Core_sim.deploy ~uarch:u ~opmap ~streams p in
-      Core_sim.run_ex ~uarch:u ~opmap ~mem_latency ~warmup:1 ~measure:96
+      let dp = Core_sim.deploy ~uarch:u ~streams p in
+      Core_sim.run_ex ~uarch:u ~mem_latency ~warmup:1 ~measure:96
         ~period [| dp |]
     in
     let cycles lat =
@@ -1712,10 +1804,10 @@ let test_calendar_long_latency () =
     (loads / u.Mp_uarch.Uarch_def.window) rounds
 
 let prop_local_ids_invisible =
-  (* the same program on a fresh opmap and on one pre-grown with the
-     whole ISA in shuffled order: the per-opcode counts must agree name
-     for name, and [transitions] must come out strictly ascending in
-     (prev, next) on both, whatever the global ids are *)
+  (* run-local ids are the programs' distinct mnemonics plus [bdnz] in
+     name order, so no result depends on how they were numbered: every
+     issue is counted against one of them and the transition list
+     ascends in (prev, next) *)
   let a = arch () in
   let u = a.Arch.uarch in
   let candidates =
@@ -1724,25 +1816,6 @@ let prop_local_ids_invisible =
            (not i.Mp_isa.Instruction.privileged)
            && (not (Mp_isa.Instruction.is_branch i))
            && not i.Mp_isa.Instruction.prefetch))
-  in
-  let all_names =
-    "bdnz"
-    :: List.map
-         (fun i -> i.Mp_isa.Instruction.mnemonic)
-         (Arch.select a (fun _ -> true))
-  in
-  let named m (act : Core_sim.activity) =
-    let issues = ref [] in
-    Array.iteri
-      (fun id n ->
-        if n > 0 then issues := (Core_sim.opmap_name m id, n) :: !issues)
-      act.Core_sim.op_issues;
-    ( List.sort compare !issues,
-      List.sort compare
-        (List.map
-           (fun (p, n, c) ->
-             (Core_sim.opmap_name m p, Core_sim.opmap_name m n, c))
-           act.Core_sim.transitions) )
   in
   let rec ascending = function
     | (p, n, _) :: ((p', n', _) :: _ as rest) ->
@@ -1762,25 +1835,30 @@ let prop_local_ids_invisible =
       Synthesizer.add_pass synth
         (Passes.dependency (Builder.Random_range (1, 4)));
       let p = Synthesizer.synthesize ~seed synth in
-      let run opmap =
-        let progs =
-          Array.init smt (fun thread ->
-              Core_sim.deploy ~uarch:u ~opmap
-                ~streams:(hand_streams ~thread ~footprint:64 ~lines:4) p)
-        in
-        Core_sim.run ~uarch:u ~opmap ~measure:8 progs
+      let progs =
+        Array.init smt (fun thread ->
+            Core_sim.deploy ~uarch:u
+              ~streams:(hand_streams ~thread ~footprint:64 ~lines:4) p)
       in
-      let fresh = Core_sim.opmap_create () in
-      let grown = Core_sim.opmap_create () in
-      List.iter
-        (fun n -> ignore (Core_sim.intern grown n))
-        (Mp_util.Rng.shuffle g all_names);
-      let r1 = run fresh and r2 = run grown in
-      named fresh r1 = named grown r2
-      && r1.Core_sim.threads = r2.Core_sim.threads
-      && r1.Core_sim.measured_cycles = r2.Core_sim.measured_cycles
-      && ascending r1.Core_sim.transitions
-      && ascending r2.Core_sim.transitions)
+      let r = Core_sim.run ~uarch:u ~measure:8 progs in
+      let names =
+        List.sort_uniq compare
+          ("bdnz"
+           :: Array.to_list
+                (Array.map
+                   (fun (i : Ir.instr) -> i.Ir.op.Mp_isa.Instruction.mnemonic)
+                   p.Ir.body))
+      in
+      let issues = Array.fold_left ( + ) 0 r.Core_sim.op_issues in
+      let instrs =
+        Array.fold_left
+          (fun acc (c : Measurement.counters) -> acc +. c.Measurement.instrs)
+          0.0 r.Core_sim.threads
+      in
+      Array.to_list r.Core_sim.ops = names
+      && Array.length r.Core_sim.op_issues = Array.length r.Core_sim.ops
+      && float_of_int issues = instrs
+      && ascending r.Core_sim.transitions)
 
 let () =
   match Sys.argv with
@@ -1824,6 +1902,8 @@ let () =
          Alcotest.test_case "hetero mix" `Quick test_heterogeneous_mix;
          Alcotest.test_case "hetero determinism" `Quick test_heterogeneous_determinism;
          Alcotest.test_case "smt fairness" `Quick test_smt_fairness;
+         Alcotest.test_case "opcode EPI from many domains" `Quick
+           test_opcode_epi_concurrent;
          Alcotest.test_case "counter arithmetic" `Quick test_counter_arithmetic;
          Alcotest.test_case "power trace" `Quick test_power_trace_properties;
          Alcotest.test_case "total threads" `Quick test_total_threads;
