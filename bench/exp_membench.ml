@@ -12,8 +12,10 @@
      O(sets x ways) serialization the packed model's rolling digest
      replaces. CI floors: >= 2x packed-vs-list aggregate wall-clock on
      the L3/MEM kernels, every kernel's loads sourced predominantly
-     from its targeted level, and at most [max_minor_words_per_cycle]
-     minor-heap words allocated per simulated cycle on every kernel.
+     from its targeted level, at most [max_minor_words_per_cycle]
+     minor-heap words allocated per simulated cycle on every kernel,
+     and at most [max_issue_probes_per_issue] ready-set probes per
+     issued instruction (a host-independent partner of the clock).
 
    - Stride sweep: a raw Cache_sim throughput walk over the
      STREAM-like [Set_assoc_model.sequential_stream] at MEM footprint,
@@ -49,6 +51,15 @@ let measure = 16
    pushes the dense kernels well past it *)
 let max_minor_words_per_cycle = 150.0
 
+(* ceiling on ready-set probes per issued instruction (whole packed
+   laps, warm-up included): issue tests only the head of each resource
+   class's ready list, and these kernels read 1.1-3.4 (the SMT4 kernels
+   highest: every thread tests its heads each cycle, after the first
+   threads took the load pipes), so the ceiling leaves ~1.5x headroom.
+   A walk that re-tests every ready entry read 1.3-110, over 15 on
+   every L1/L2 kernel. *)
+let max_issue_probes_per_issue = 5.0
+
 let lname = Cache_geometry.level_to_string
 
 (* Flip the model under [f] via the env knob the simulator reads at
@@ -78,7 +89,12 @@ type kernel = {
   k_packed_s : float;
   k_frac : float array;  (* loads per source level / total, L1..MEM *)
   k_minor_words_per_cycle : float;
+  k_probes : int;  (* ready-set probes over the packed laps *)
+  k_issued : int;  (* instructions issued over the packed laps *)
 }
+
+let probes_per_issue probes issued =
+  float_of_int probes /. float_of_int (max 1 issued)
 
 let run_kernels (ctx : Context.t) machine =
   let reps = if ctx.Context.quick then 3 else 8 in
@@ -95,6 +111,7 @@ let run_kernels (ctx : Context.t) machine =
                    reproduce it bit for bit *)
                 let prime = Machine.run ~measure ~period:true machine config p in
                 let g0 = Gc.minor_words () in
+                let p0 = Core_sim.issue_probes () and i0 = Core_sim.issued () in
                 let t0 = Unix.gettimeofday () in
                 for _ = 1 to reps do
                   let r = Machine.run ~measure ~period:true machine config p in
@@ -104,10 +121,13 @@ let run_kernels (ctx : Context.t) machine =
                          (Cache_sim.model_to_string model) (lname target) smt)
                 done;
                 let dt = Unix.gettimeofday () -. t0 in
-                (prime, dt, Gc.minor_words () -. g0))
+                ( prime, dt, Gc.minor_words () -. g0,
+                  Core_sim.issue_probes () - p0, Core_sim.issued () - i0 ))
           in
-          let m_list, t_list, _ = side Cache_sim.List_ref in
-          let m_packed, t_packed, minor = side Cache_sim.Packed in
+          let m_list, t_list, _, _, _ = side Cache_sim.List_ref in
+          let m_packed, t_packed, minor, probes, issued =
+            side Cache_sim.Packed
+          in
           (* the tentpole invariant: the packed model must not change a
              single measured bit *)
           if compare m_list m_packed <> 0 then
@@ -127,6 +147,8 @@ let run_kernels (ctx : Context.t) machine =
               Measurement.[| frac c.l1; frac c.l2; frac c.l3; frac c.mem |];
             k_minor_words_per_cycle =
               minor /. Float.max 1.0 (float_of_int reps *. c.Measurement.cycles);
+            k_probes = probes;
+            k_issued = issued;
           })
         smts)
     targets
@@ -256,7 +278,7 @@ let run (ctx : Context.t) =
   let table =
     Mp_util.Text_table.create
       [ "Target"; "SMT"; "list s"; "packed s"; "speedup"; "frac@target";
-        "minorw/cyc" ]
+        "minorw/cyc"; "probes/issue" ]
   in
   List.iter
     (fun k ->
@@ -268,7 +290,8 @@ let run (ctx : Context.t) =
           Printf.sprintf "%.4f" k.k_packed_s;
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.2f" tfrac;
-          Printf.sprintf "%.2f" k.k_minor_words_per_cycle ];
+          Printf.sprintf "%.2f" k.k_minor_words_per_cycle;
+          Printf.sprintf "%.2f" (probes_per_issue k.k_probes k.k_issued) ];
       let base = Printf.sprintf "membench_%s_smt%d" (lname k.k_target) k.k_smt in
       Context.record_metric ctx (base ^ "_list_seconds") k.k_list_s;
       Context.record_metric ctx (base ^ "_packed_seconds") k.k_packed_s;
@@ -276,8 +299,16 @@ let run (ctx : Context.t) =
       Context.record_metric ctx (base ^ "_target_frac") tfrac;
       Context.record_metric ctx
         (base ^ "_minor_words_per_cycle")
-        k.k_minor_words_per_cycle)
+        k.k_minor_words_per_cycle;
+      Context.record_metric ctx
+        (base ^ "_issue_probes_per_issue")
+        (probes_per_issue k.k_probes k.k_issued))
     kernels;
+  let sum_int f = List.fold_left (fun a k -> a + f k) 0 kernels in
+  Context.record_metric ctx "issue_probes_per_issue"
+    (probes_per_issue
+       (sum_int (fun k -> k.k_probes))
+       (sum_int (fun k -> k.k_issued)));
   Mp_util.Text_table.print table;
   (* histogram sanity gate: a single-level kernel's loads must land on
      the level the analytical model guarantees *)
@@ -302,6 +333,18 @@ let run (ctx : Context.t) =
              (lname k.k_target) k.k_smt k.k_minor_words_per_cycle
              max_minor_words_per_cycle))
     kernels;
+  (* work ceiling on the issue stage, on every kernel *)
+  List.iter
+    (fun k ->
+      let ppi = probes_per_issue k.k_probes k.k_issued in
+      if ppi > max_issue_probes_per_issue then
+        failwith
+          (Printf.sprintf
+             "membench: %s smt%d kernel tests %.2f ready-set entries per \
+              issue (ceiling %.1f) — the issue stage is re-testing blocked \
+              entries"
+             (lname k.k_target) k.k_smt ppi max_issue_probes_per_issue))
+    kernels;
   (* speedup floor on the kernels that fingerprint every boundary *)
   let deep =
     List.filter
@@ -315,9 +358,9 @@ let run (ctx : Context.t) =
   Context.record_metric ctx "membench_l3mem_speedup" l3mem_speedup;
   Context.log
     "L3/MEM-resident kernels: packed %.2fx vs list (floor 2.0x);\n\
-     all 12 kernels bit-identical across models and within %.0f minor \
-     words per cycle"
-    l3mem_speedup max_minor_words_per_cycle;
+     all 12 kernels bit-identical across models, within %.0f minor \
+     words per cycle and %.1f ready-set probes per issue"
+    l3mem_speedup max_minor_words_per_cycle max_issue_probes_per_issue;
   if l3mem_speedup < 2.0 then
     failwith
       (Printf.sprintf

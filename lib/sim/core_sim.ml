@@ -44,16 +44,34 @@ let deploy ~uarch ~streams (p : Ir.t) =
       incr n_regs;
       i
   in
+  (* each distinct mnemonic's resources are converted once per call;
+     its instructions share the (immutable) arrays *)
+  let res_of = Hashtbl.create 16 in
+  let resources (op : Mp_isa.Instruction.t) =
+    let m = op.Mp_isa.Instruction.mnemonic in
+    match Hashtbl.find_opt res_of m with
+    | Some r -> r
+    | None ->
+      let res = uarch.Uarch_def.resources op in
+      (* occupancies become exact integer ticks over the uarch common
+         denominator; [occ_ticks] raises if the definition's [occ_den]
+         does not cover some occupancy, so a broken definition fails at
+         deploy rather than silently losing precision *)
+      let conv u =
+        (pipe_index u.Uarch_def.pipe,
+         Uarch_def.occ_ticks uarch u.Uarch_def.occupancy)
+      in
+      let r =
+        (Array.of_list (List.map conv res.Uarch_def.fixed),
+         Array.of_list (List.map conv res.Uarch_def.alt),
+         res.Uarch_def.latency)
+      in
+      Hashtbl.add res_of m r;
+      r
+  in
   let of_instr (i : Ir.instr) =
     let op = i.Ir.op in
-    let res = uarch.Uarch_def.resources op in
-    (* occupancies become exact integer ticks over the uarch common
-       denominator; [occ_ticks] raises if the definition's [occ_den]
-       does not cover some occupancy, so a broken definition fails at
-       deploy rather than silently losing precision *)
-    let conv u =
-      (pipe_index u.Uarch_def.pipe, Uarch_def.occ_ticks uarch u.Uarch_def.occupancy)
-    in
+    let fixed, alt, latency = resources op in
     let mem =
       match op.Mp_isa.Instruction.mem with
       | Mp_isa.Instruction.No_mem -> 0
@@ -62,9 +80,9 @@ let deploy ~uarch ~streams (p : Ir.t) =
     in
     {
       op = op.Mp_isa.Instruction.mnemonic;
-      fixed = Array.of_list (List.map conv res.Uarch_def.fixed);
-      alt = Array.of_list (List.map conv res.Uarch_def.alt);
-      latency = res.Uarch_def.latency;
+      fixed;
+      alt;
+      latency;
       dests = Array.of_list (List.map reg_id i.Ir.dests);
       srcs = Array.of_list (List.map reg_id i.Ir.srcs);
       mem;
@@ -123,6 +141,14 @@ let cycles_skipped_ctr = Atomic.make 0
 let period_hits () = Atomic.get period_hits_ctr
 let cycles_skipped () = Atomic.get cycles_skipped_ctr
 
+(* Issue-stage work telemetry, added once per run: ready-list class
+   heads tested against the free pipes, and entries issued. *)
+let issue_probes_ctr = Atomic.make 0
+let issued_ctr = Atomic.make 0
+
+let issue_probes () = Atomic.get issue_probes_ctr
+let issued () = Atomic.get issued_ctr
+
 (* read per call, like [Measurement_cache.cache_enabled]: a top-level
    [lazy] raises when pool domains force it concurrently, and a caller
    may set MP_PERIOD before its first run *)
@@ -165,6 +191,7 @@ let zero_raw () =
 type thread_state = {
   prog : dprog;
   op_ids : int array;         (* body index -> run-local opcode id *)
+  cls_ids : int array;        (* body index -> run-local resource class *)
   queue : pending array;      (* ring buffer of capacity window *)
   mutable q_head : int;
   mutable q_len : int;
@@ -182,18 +209,21 @@ type thread_state = {
   comp_time : int array;
   predictor : int array;      (* 2-bit counters per static instruction *)
   counters : raw_counters;
-  (* Ready-set scheduling state. All of it is indexed by the physical
-     queue slot (0..window-1). An entry is in exactly one place at a
-     time: the ready list (operands available, rescanned for pipes each
-     cycle, in dispatch order), the wakeup calendar (operand arrival
-     cycle known but in the future), or the waiter chains (some
-     producer has not even issued, so its completion time is unknown). *)
+  (* Ready-set scheduling state. The per-slot arrays are indexed by
+     the physical queue slot (0..window-1). An entry is in exactly one
+     place at a time: the ready list of its resource class (operands
+     available, in dispatch order), the wakeup calendar (operand
+     arrival cycle known but in the future), or the waiter chains
+     (some producer has not even issued, so its completion time is
+     unknown). *)
   n_wait : int array;         (* producers not yet issued, per slot *)
   ready_at : int array;       (* max known producer completion, per slot *)
-  rnext : int array;          (* ready list links; -2 = not in the list *)
+  rnext : int array;          (* ready list links, per slot *)
   rprev : int array;
-  mutable rhead : int;
-  mutable rtail : int;
+  chead : int array;          (* per class: oldest ready slot, -1 = none *)
+  ctail : int array;          (* per class: youngest ready slot *)
+  chseq : int array;          (* per class: seq of the head, max_int = none *)
+  mutable n_ready : int;      (* entries on all of the ready lists *)
   whead : int array;          (* per comp-ring slot: first waiter node *)
   wlink : int array;          (* waiter node (slot * 4 + dep) -> next node *)
   rcal : int array;           (* wakeup calendar: slot-chain head per cycle *)
@@ -350,6 +380,32 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       1 progs
   in
   let fixed_slots = Array.make max_fixed (-1) in
+  (* Resource classes: an instruction's fixed and alternative pipe
+     kinds as two masks, numbered per run. Within one cycle either
+     every ready entry of a class can issue or none can, so issue only
+     ever looks at the head of each class's ready list. *)
+  let kind_mask us = Array.fold_left (fun m (k, _) -> m lor (1 lsl k)) 0 us in
+  let class_key (d : dinstr) =
+    kind_mask d.fixed lor (kind_mask d.alt lsl n_pipe_kinds)
+  in
+  let cls_of = Hashtbl.create 8 in
+  Array.iter
+    (fun (p : dprog) ->
+      Array.iter
+        (fun d ->
+          let key = class_key d in
+          if not (Hashtbl.mem cls_of key) then
+            Hashtbl.add cls_of key (Hashtbl.length cls_of))
+        p.body)
+    progs;
+  let n_classes = Hashtbl.length cls_of in
+  let cls_fixed = Array.make n_classes 0 in
+  let cls_alt = Array.make n_classes 0 in
+  Hashtbl.iter
+    (fun key c ->
+      cls_fixed.(c) <- key land ((1 lsl n_pipe_kinds) - 1);
+      cls_alt.(c) <- key lsr n_pipe_kinds)
+    cls_of;
   let threads =
     Array.map
       (fun prog ->
@@ -357,6 +413,8 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           prog;
           op_ids =
             Array.map (fun (d : dinstr) -> Hashtbl.find id_of d.op) prog.body;
+          cls_ids =
+            Array.map (fun d -> Hashtbl.find cls_of (class_key d)) prog.body;
           queue =
             Array.init window (fun _ ->
                 { di = 0; it = 0; seq = 0; deps = Array.make 4 (-1);
@@ -378,10 +436,12 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           counters = zero_raw ();
           n_wait = Array.make window 0;
           ready_at = Array.make window 0;
-          rnext = Array.make window (-2);
-          rprev = Array.make window (-2);
-          rhead = -1;
-          rtail = -1;
+          rnext = Array.make window (-1);
+          rprev = Array.make window (-1);
+          chead = Array.make n_classes (-1);
+          ctail = Array.make n_classes (-1);
+          chseq = Array.make n_classes max_int;
+          n_ready = 0;
           whead = Array.make (4 * window) (-1);
           wlink = Array.make (window * 4) (-1);
           rcal = Array.make calendar_size (-1);
@@ -400,6 +460,9 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
      busy" case answer without scanning the instance array. The scan
      still picks the lowest-index free instance, exactly as before. *)
   let pipe_min = Array.make n_pipe_kinds 0 in
+  (* bit k set iff kind k has a free instance this cycle
+     ([pipe_min.(k) < tick]); within a cycle it only loses bits *)
+  let free_mask = ref ((1 lsl n_pipe_kinds) - 1) in
   let recompute_pipe_min k =
     let insts = pipe_free.(k) in
     let m = ref insts.(0) in
@@ -429,47 +492,82 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
           insts.(i) <- (if r > 0 then r else 0)
         done
       done;
+      let fm = ref 0 in
       for k = 0 to n_pipe_kinds - 1 do
         let m = pipe_min.(k) - d in
-        pipe_min.(k) <- (if m > 0 then m else 0)
+        let m = if m > 0 then m else 0 in
+        pipe_min.(k) <- m;
+        if m < tick then fm := !fm lor (1 lsl k)
       done;
+      free_mask := !fm;
       pipe_now := now
     end
   in
-  (* Ready-list maintenance. The list is doubly linked through physical
-     queue slots and kept in dispatch (seq) order, so walking head->tail
-     reproduces the dense oldest-first issue scan restricted to entries
-     whose operands are available — the same issue decisions in the same
-     order. *)
+  (* Ready-list maintenance. Each class's list is doubly linked
+     through physical queue slots and kept in dispatch (seq) order;
+     [chseq] mirrors each head's seq so [pick] reads only int arrays. *)
   let ready_insert t s =
+    let c = t.cls_ids.(t.queue.(s).di) in
     let seq = t.queue.(s).seq in
-    if t.rtail < 0 then begin
-      t.rhead <- s; t.rtail <- s; t.rprev.(s) <- -1; t.rnext.(s) <- -1
+    let tl = t.ctail.(c) in
+    if tl < 0 then begin
+      t.chead.(c) <- s; t.ctail.(c) <- s; t.chseq.(c) <- seq;
+      t.rprev.(s) <- -1; t.rnext.(s) <- -1
     end
-    else if t.queue.(t.rtail).seq < seq then begin
-      t.rnext.(t.rtail) <- s; t.rprev.(s) <- t.rtail; t.rnext.(s) <- -1;
-      t.rtail <- s
+    else if t.queue.(tl).seq < seq then begin
+      t.rnext.(tl) <- s; t.rprev.(s) <- tl; t.rnext.(s) <- -1;
+      t.ctail.(c) <- s
     end
     else begin
-      let p = ref t.rtail in
+      let p = ref tl in
       while !p >= 0 && t.queue.(!p).seq > seq do p := t.rprev.(!p) done;
       if !p < 0 then begin
-        t.rprev.(t.rhead) <- s; t.rnext.(s) <- t.rhead; t.rprev.(s) <- -1;
-        t.rhead <- s
+        let h = t.chead.(c) in
+        t.rprev.(h) <- s; t.rnext.(s) <- h; t.rprev.(s) <- -1;
+        t.chead.(c) <- s; t.chseq.(c) <- seq
       end
       else begin
         let nx = t.rnext.(!p) in
         t.rnext.(!p) <- s; t.rprev.(s) <- !p; t.rnext.(s) <- nx;
         t.rprev.(nx) <- s
       end
-    end
+    end;
+    t.n_ready <- t.n_ready + 1
   in
-  let ready_remove t s =
-    let p = t.rprev.(s) and n = t.rnext.(s) in
-    if p >= 0 then t.rnext.(p) <- n else t.rhead <- n;
-    if n >= 0 then t.rprev.(n) <- p else t.rtail <- p;
-    t.rnext.(s) <- -2;
-    t.rprev.(s) <- -2
+  let ready_pop t c =
+    let n = t.rnext.(t.chead.(c)) in
+    t.chead.(c) <- n;
+    if n >= 0 then begin
+      t.rprev.(n) <- -1;
+      t.chseq.(c) <- t.queue.(n).seq
+    end
+    else begin
+      t.ctail.(c) <- -1;
+      t.chseq.(c) <- max_int
+    end;
+    t.n_ready <- t.n_ready - 1
+  in
+  (* Issue-stage work, added to the process counters once per run. *)
+  let probes = ref 0 in
+  let n_issued = ref 0 in
+  (* The class whose head is the oldest ready entry that can issue now:
+     every fixed kind has a free instance, and so does some alternative
+     kind when the class has any. -1 when none can. *)
+  let pick t =
+    let fm = !free_mask in
+    let best = ref (-1) and best_seq = ref max_int in
+    for c = 0 to n_classes - 1 do
+      let s = t.chseq.(c) in
+      if s < !best_seq then begin
+        incr probes;
+        let f = cls_fixed.(c) and a = cls_alt.(c) in
+        if f land fm = f && (a = 0 || a land fm <> 0) then begin
+          best := c;
+          best_seq := s
+        end
+      end
+    done;
+    !best
   in
   let rcal_park t s at =
     let idx = at land cal_mask in
@@ -688,7 +786,19 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       Array.iteri
         (fun j t ->
           let per = t.iter - b.b_iters.(j) in
-          if per <= 0 then n := 0
+          if per <= 0 then begin
+            (* the whole state repeats exactly, so a thread that made no
+               progress over one period never will: the run could not
+               end *)
+            if t.iter + t.iter_credit < total_iters then
+              failwith
+                (Printf.sprintf
+                   "Core_sim: thread %d of %d is starved (no iteration \
+                    completed over a repeating %d-cycle period, %d of %d \
+                    iterations done)"
+                   j nthreads d_cycles (t.iter + t.iter_credit) total_iters);
+            n := 0
+          end
           else begin
             let rem = total_iters - t.iter - t.iter_credit - 1 in
             let k = if rem <= 0 then 0 else rem / per in
@@ -794,6 +904,8 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
        sub-cycle free tick is a plain addition *)
     insts.(slot) <- insts.(slot) + occ;
     recompute_pipe_min kind;
+    if pipe_min.(kind) >= tick then
+      free_mask := !free_mask land lnot (1 lsl kind);
     if !measuring then
       match kind with
       | 0 -> c.fxu <- c.fxu + 1
@@ -932,127 +1044,122 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
         end
       done
     done;
-    (* issue: walk each thread's ready list oldest-first, rotating the
-       thread priority each cycle (SMT issue arbitration). The list
-       holds exactly the live entries whose operands are available, in
-       dispatch order — the same candidates the dense scan found, minus
-       the per-entry dependency rescans. Nothing becomes ready
-       mid-cycle (completions are always at least one cycle out), so
-       the walk sees a stable frontier plus same-cycle dispatches
-       appended at the tail, exactly as the dense scan did. *)
+    (* issue: each thread in turn, rotating the thread priority each
+       cycle (SMT issue arbitration), repeatedly issues the oldest ready
+       entry whose pipes are free. This is the oldest-first scan over
+       all ready entries, issuing what fits: within a cycle pipe
+       availability only shrinks ([reserve] adds occupancy; rebasing
+       happens at cycle start) and nothing becomes ready (completions
+       are at least one cycle out), so an entry the scan would skip
+       stays unissuable for the rest of the cycle. Entries of one class
+       stand or fall together, so only class heads are tested and no
+       blocked entry is touched. *)
     for tk = 0 to nthreads - 1 do
       let t = threads.((now + tk) mod nthreads) in
       begin
         let c = t.counters in
         let ring = Array.length t.comp_seq in
-        let cursor = ref t.rhead in
-        while !cursor >= 0 do
-          let s = !cursor in
-          let next = t.rnext.(s) in
+        let cls = ref (if t.n_ready > 0 then pick t else -1) in
+        while !cls >= 0 do
+          let s = t.chead.(!cls) in
           let e = t.queue.(s) in
           let di = t.prog.body.(e.di) in
-          begin
-            (* pipe availability *)
-            let fixed = di.fixed in
-            let nfixed = Array.length fixed in
-            let ok = ref true in
-            for f = 0 to nfixed - 1 do
-              let kind, _ = fixed.(f) in
-              let sl = find_free kind in
-              if sl < 0 then ok := false else fixed_slots.(f) <- sl
-            done;
-            (* first alternative pipe kind with a free instance *)
-            let alt_choice = ref (-1) in
-            let alt_slot = ref (-1) in
-            let alt_occ = ref 0 in
-            let nalt = Array.length di.alt in
-            if !ok && nalt > 0 then begin
-              let a = ref 0 in
-              while !alt_choice < 0 && !a < nalt do
-                let kind, occ = di.alt.(!a) in
-                let sl = find_free kind in
-                if sl >= 0 then begin
-                  alt_choice := kind;
-                  alt_slot := sl;
-                  alt_occ := occ
-                end;
-                incr a
-              done;
-              if !alt_choice < 0 then ok := false
+          (* the class masks guarantee a free instance of every fixed
+             kind and of some alternative kind: take the lowest free
+             instance of each fixed kind and the first alternative
+             kind with one, all chosen before anything is reserved *)
+          let fixed = di.fixed in
+          let nfixed = Array.length fixed in
+          for f = 0 to nfixed - 1 do
+            let kind, _ = fixed.(f) in
+            fixed_slots.(f) <- find_free kind
+          done;
+          let alt_choice = ref (-1) in
+          let alt_slot = ref (-1) in
+          let alt_occ = ref 0 in
+          let nalt = Array.length di.alt in
+          let a = ref 0 in
+          while !alt_choice < 0 && !a < nalt do
+            let kind, occ = di.alt.(!a) in
+            let sl = find_free kind in
+            if sl >= 0 then begin
+              alt_choice := kind;
+              alt_slot := sl;
+              alt_occ := occ
             end;
-            if !ok then begin
-              (* reserve pipes, count unit events *)
-              for f = 0 to nfixed - 1 do
-                let kind, occ = fixed.(f) in
-                reserve c di kind fixed_slots.(f) occ
-              done;
-              if !alt_choice >= 0 then
-                reserve c di !alt_choice !alt_slot !alt_occ;
-              (* latency *)
-              let lat =
-                if di.mem = 1 && Array.length di.stream > 0 then begin
-                  let addr = di.stream.(e.it mod Array.length di.stream) in
-                  let src = Cache_sim.access cache ~addr ~store:false in
-                  let lid = level_id src in
-                  if !measuring then begin
-                    (match lid with
-                     | 0 -> c.l1 <- c.l1 + 1
-                     | 1 -> c.l2 <- c.l2 + 1
-                     | 2 -> c.l3 <- c.l3 + 1
-                     | _ -> c.memc <- c.memc + 1);
-                    level_loads.(lid) <- level_loads.(lid) + 1
-                  end;
-                  latencies.(lid)
-                end
-                else if di.mem = 2 && Array.length di.stream > 0 then begin
-                  let addr = di.stream.(e.it mod Array.length di.stream) in
-                  ignore (Cache_sim.access cache ~addr ~store:true);
-                  di.latency
-                end
-                else di.latency
-              in
-              (* conditional branch prediction *)
-              if Array.length di.pattern > 0 then begin
-                let outcome = di.pattern.(e.it mod Array.length di.pattern) in
-                let p = t.predictor.(e.di) in
-                let predicted = p >= 2 in
-                t.predictor.(e.di) <-
-                  (if outcome then min 3 (p + 1) else max 0 (p - 1));
-                if predicted <> outcome then
-                  t.stall_until <- max t.stall_until (now + mispredict_penalty)
-              end;
-              let completion = now + max 1 lat in
-              let idx = e.seq mod ring in
-              if t.comp_seq.(idx) = e.seq then begin
-                t.comp_time.(idx) <- completion;
-                (* wake consumers that were waiting on this producer's
-                   issue: its completion time is now known *)
-                let w = ref t.whead.(idx) in
-                t.whead.(idx) <- -1;
-                while !w >= 0 do
-                  let nw = t.wlink.(!w) in
-                  t.wlink.(!w) <- -1;
-                  let ws = !w / 4 in
-                  t.n_wait.(ws) <- t.n_wait.(ws) - 1;
-                  if completion > t.ready_at.(ws) then
-                    t.ready_at.(ws) <- completion;
-                  if t.n_wait.(ws) = 0 then rcal_park t ws t.ready_at.(ws);
-                  w := nw
-                done
-              end;
-              let cidx = completion land cal_mask in
-              t.comp_cal.(cidx) <- t.comp_cal.(cidx) + 1;
+            incr a
+          done;
+          (* reserve pipes, count unit events *)
+          for f = 0 to nfixed - 1 do
+            let kind, occ = fixed.(f) in
+            reserve c di kind fixed_slots.(f) occ
+          done;
+          if !alt_choice >= 0 then
+            reserve c di !alt_choice !alt_slot !alt_occ;
+          (* latency *)
+          let lat =
+            if di.mem = 1 && Array.length di.stream > 0 then begin
+              let addr = di.stream.(e.it mod Array.length di.stream) in
+              let src = Cache_sim.access cache ~addr ~store:false in
+              let lid = level_id src in
               if !measuring then begin
-                c.instrs <- c.instrs + 1;
-                let l = t.op_ids.(e.di) in
-                op_issues.(l) <- op_issues.(l) + 1
+                (match lid with
+                 | 0 -> c.l1 <- c.l1 + 1
+                 | 1 -> c.l2 <- c.l2 + 1
+                 | 2 -> c.l3 <- c.l3 + 1
+                 | _ -> c.memc <- c.memc + 1);
+                level_loads.(lid) <- level_loads.(lid) + 1
               end;
-              progressed := true;
-              ready_remove t s;
-              e.live <- false
+              latencies.(lid)
             end
+            else if di.mem = 2 && Array.length di.stream > 0 then begin
+              let addr = di.stream.(e.it mod Array.length di.stream) in
+              ignore (Cache_sim.access cache ~addr ~store:true);
+              di.latency
+            end
+            else di.latency
+          in
+          (* conditional branch prediction *)
+          if Array.length di.pattern > 0 then begin
+            let outcome = di.pattern.(e.it mod Array.length di.pattern) in
+            let p = t.predictor.(e.di) in
+            let predicted = p >= 2 in
+            t.predictor.(e.di) <-
+              (if outcome then min 3 (p + 1) else max 0 (p - 1));
+            if predicted <> outcome then
+              t.stall_until <- max t.stall_until (now + mispredict_penalty)
           end;
-          cursor := next
+          let completion = now + max 1 lat in
+          let idx = e.seq mod ring in
+          if t.comp_seq.(idx) = e.seq then begin
+            t.comp_time.(idx) <- completion;
+            (* wake consumers that were waiting on this producer's
+               issue: its completion time is now known *)
+            let w = ref t.whead.(idx) in
+            t.whead.(idx) <- -1;
+            while !w >= 0 do
+              let nw = t.wlink.(!w) in
+              t.wlink.(!w) <- -1;
+              let ws = !w / 4 in
+              t.n_wait.(ws) <- t.n_wait.(ws) - 1;
+              if completion > t.ready_at.(ws) then
+                t.ready_at.(ws) <- completion;
+              if t.n_wait.(ws) = 0 then rcal_park t ws t.ready_at.(ws);
+              w := nw
+            done
+          end;
+          let cidx = completion land cal_mask in
+          t.comp_cal.(cidx) <- t.comp_cal.(cidx) + 1;
+          if !measuring then begin
+            c.instrs <- c.instrs + 1;
+            let l = t.op_ids.(e.di) in
+            op_issues.(l) <- op_issues.(l) + 1
+          end;
+          progressed := true;
+          incr n_issued;
+          ready_pop t !cls;
+          e.live <- false;
+          cls := if t.n_ready > 0 then pick t else -1
         done;
         (* compact the head of the ring *)
         while t.q_len > 0 && not t.queue.(t.q_head).live do
@@ -1089,7 +1196,7 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       for j = 0 to nthreads - 1 do
         let t = threads.(j) in
         if
-          t.rhead >= 0
+          t.n_ready > 0
           || not
                (t.stall_until > !cycle || t.in_flight >= window
                 || t.q_len >= window)
@@ -1132,6 +1239,8 @@ let run_ex ~uarch ?mem_latency ?(warmup = 1) ?(measure = 2) ?period
       end
     end
   done;
+  ignore (Atomic.fetch_and_add issue_probes_ctr !probes);
+  ignore (Atomic.fetch_and_add issued_ctr !n_issued);
   let measured_cycles = max 1 (!cycle - !start_cycle + !skipped) in
   let counters_of t =
     let c = t.counters in

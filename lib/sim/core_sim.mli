@@ -112,3 +112,13 @@ val period_hits : unit -> int
 
 val cycles_skipped : unit -> int
 (** Process-wide total of simulated cycles elided by period skipping. *)
+
+val issue_probes : unit -> int
+(** Process-wide count of ready-list class heads the issue stage has
+    tested against the free pipes, over all completed runs. Work
+    telemetry only, like {!cycles_skipped}. *)
+
+val issued : unit -> int
+(** Process-wide count of entries issued, over all completed runs
+    (warm-up included); [issue_probes () / issued ()] is the issue
+    stage's probes per issue. *)

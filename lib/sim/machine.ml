@@ -110,10 +110,22 @@ let simulate_many ?(warmup = 1) ?(measure = default_measure) ?period t
      deployment entirely and their records are shared across names,
      seeds and core counts. *)
   let consumes_rng = Array.exists Ir.has_memory per_thread in
+  (* A program without memory instructions deploys to the same
+     immutable [dprog] on every thread (and draws nothing from [rng]),
+     so each such program deploys once per job. *)
   let progs =
     lazy
-      (Array.init config.Uarch_def.smt (fun tid ->
-           deploy_thread t rng config tid per_thread.(tid)))
+      (let shared = ref [] in
+       Array.init config.Uarch_def.smt (fun tid ->
+           let p = per_thread.(tid) in
+           if Ir.has_memory p then deploy_thread t rng config tid p
+           else
+             match List.assq_opt p !shared with
+             | Some d -> d
+             | None ->
+               let d = deploy_thread t rng config tid p in
+               shared := (p, d) :: !shared;
+               d))
   in
   if consumes_rng then ignore (Lazy.force progs);
   let salt =

@@ -1671,13 +1671,42 @@ let golden_kernels a =
     Synthesizer.add_pass synth (Passes.dependency (Builder.Fixed 2));
     Synthesizer.synthesize ~seed:41 synth
   in
+  (* mixed pipe classes: the paper's stressmark picks (FXU, LSU and VSU
+     ops competing in one window), and loads, stores and record-form or
+     simple integer ops that take the alternative FXU/LSU pipe path
+     next to update ports, store ports and wide stores *)
+  let picks =
+    Mp_stressmark.Stressmark.program_of_sequence ~arch:a ~size:48
+      ~name:"golden-picks"
+      (List.map (Arch.find_instruction a) [ "mulldo"; "lxvw4x"; "xvnmsubmdp" ])
+  in
+  let ldst =
+    let synth = Synthesizer.create ~name:"golden-ldst" a in
+    Synthesizer.add_pass synth (Passes.skeleton ~size:56);
+    Synthesizer.add_pass synth
+      (Passes.fill_sequence
+         (List.map (Arch.find_instruction a)
+            [ "lwzu"; "add"; "stw"; "andi."; "lhau"; "stfdu"; "stxvd2x" ]));
+    Synthesizer.add_pass synth (Passes.memory_model l1);
+    Synthesizer.add_pass synth
+      (Passes.dependency (Builder.Random_range (1, 4)));
+    Synthesizer.synthesize ~seed:53 synth
+  in
+  let alu =
+    Mp_stressmark.Stressmark.program_of_sequence ~arch:a ~size:24
+      ~name:"golden-alu"
+      (List.map (Arch.find_instruction a) [ "andi."; "fadd"; "mulld" ])
+  in
   [ ("fadd chain", mono a ~size:32 ~dep:(Builder.Fixed 1) "fadd", 64, 4);
     ("mulld", mono a ~size:32 "mulld", 64, 4);
     ("lbz/andi./stfd", mix, 64, 4);
     ("L2 loads",
      mono a ~size:32 ~mem_mix:[ (Mp_uarch.Cache_geometry.L2, 1.0) ] "lbz",
      384, 16);
-    ("branchy", branchy, 64, 4) ]
+    ("branchy", branchy, 64, 4);
+    ("stressmark picks", picks, 64, 4);
+    ("loads/stores/andi.", ldst, 64, 4);
+    ("FXU/VSU/alt mix", alu, 64, 4) ]
 
 let golden_run a ~smt ~period (p, footprint, lines) =
   let u = a.Arch.uarch in
@@ -1690,7 +1719,9 @@ let golden_run a ~smt ~period (p, footprint, lines) =
 
 (* Digests of Marshal.to_string (activity, period_delta) [No_sharing]
    in [legacy_layout], computed on the simulator as it stood before
-   opcode ids became run-local and the calendars became latency-sized.
+   opcode ids became run-local and the calendars became latency-sized;
+   the three mixed-class kernels were added, and their digests taken,
+   while issue still walked one ready list per thread.
    Every other bit-identity suite compares two modes of the same build;
    these pin the result across builds, so a remap that reorders
    [transitions] or misattributes [op_issues] shows up here. *)
@@ -1724,7 +1755,25 @@ let golden_digests =
     ("branchy smt2 period", "528a65eb6f9d5a24f1a492e5eeca9ac1");
     ("branchy smt2 dense", "c7bd5bdd8e990a2bf97fd710e2d0b68a");
     ("branchy smt4 period", "cea29d8b34839b7d1946e9a87d059da6");
-    ("branchy smt4 dense", "cea29d8b34839b7d1946e9a87d059da6") ]
+    ("branchy smt4 dense", "cea29d8b34839b7d1946e9a87d059da6");
+    ("stressmark picks smt1 period", "3c9115f12ac5ca1a0754db6d8f48dc7e");
+    ("stressmark picks smt1 dense", "3c9115f12ac5ca1a0754db6d8f48dc7e");
+    ("stressmark picks smt2 period", "5585147ca824b0d940d307acdeca91a9");
+    ("stressmark picks smt2 dense", "5585147ca824b0d940d307acdeca91a9");
+    ("stressmark picks smt4 period", "25551a43fdecef620ea3d41275629dd1");
+    ("stressmark picks smt4 dense", "25551a43fdecef620ea3d41275629dd1");
+    ("loads/stores/andi. smt1 period", "87a8347e4ac1db0c6ec29c861913ed41");
+    ("loads/stores/andi. smt1 dense", "87a8347e4ac1db0c6ec29c861913ed41");
+    ("loads/stores/andi. smt2 period", "ca346d4fd07ca9e060b7f41d9c13c0e1");
+    ("loads/stores/andi. smt2 dense", "ca346d4fd07ca9e060b7f41d9c13c0e1");
+    ("loads/stores/andi. smt4 period", "ea66bd5c320f68a4710236c9594e6160");
+    ("loads/stores/andi. smt4 dense", "ea66bd5c320f68a4710236c9594e6160");
+    ("FXU/VSU/alt mix smt1 period", "8557ffebeb044680085232d3b9622de1");
+    ("FXU/VSU/alt mix smt1 dense", "16cc4386d58d941edb15f37f2cd22177");
+    ("FXU/VSU/alt mix smt2 period", "0d2ec1f24ed93b234421bc2b6ef0a66b");
+    ("FXU/VSU/alt mix smt2 dense", "8d1b3a114c1ef8832a78c3559046ac70");
+    ("FXU/VSU/alt mix smt4 period", "267184375f710269dab2113db29de7c0");
+    ("FXU/VSU/alt mix smt4 dense", "af36b4bbff2c64fa7243d142c3129986") ]
 
 let test_golden_activity () =
   let a = arch () in
@@ -1803,6 +1852,51 @@ let test_calendar_long_latency () =
   Alcotest.(check int) "one latency per in-flight window"
     (loads / u.Mp_uarch.Uarch_def.window) rounds
 
+let test_smt_starvation_fails () =
+  (* Two or four SMT copies of one dmul kernel on one core: both VSU
+     instances come free on the same cycles and the rotating thread
+     priority hands every such cycle to thread 0, so thread 1 never
+     completes an iteration. The period detector sees the whole state
+     repeat with thread 1 standing still, which proves the run cannot
+     end: it must fail there, naming the thread. The alarm turns a
+     regression back into a hang into a failure. *)
+  let a = arch () in
+  let p =
+    Mp_stressmark.Stressmark.program_of_sequence ~arch:a ~size:32
+      ~name:"starve" [ Arch.find_instruction a "dmul" ]
+  in
+  let machine = Machine.create ~cache:false ~replay:false a.Arch.uarch in
+  let prev =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> failwith "timed out: the run hangs"))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm prev)
+    (fun () ->
+      ignore (Unix.alarm 30);
+      let m = Machine.run machine (config a ~cores:1 ~smt:1) p in
+      Alcotest.(check bool) "smt1 runs" true (m.Measurement.core_ipc > 0.0);
+      List.iter
+        (fun smt ->
+          match Machine.run machine (config a ~cores:1 ~smt) p with
+          | _ -> Alcotest.failf "smt%d: a starved run returned" smt
+          | exception Failure msg ->
+            let names sub =
+              let n = String.length sub in
+              let rec at i =
+                i + n <= String.length msg
+                && (String.sub msg i n = sub || at (i + 1))
+              in
+              at 0
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "smt%d names the starved thread: %s" smt msg)
+              true
+              (names "thread 1 of " && names "starved"))
+        [ 2; 4 ])
+
 let prop_local_ids_invisible =
   (* run-local ids are the programs' distinct mnemonics plus [bdnz] in
      name order, so no result depends on how they were numbered: every
@@ -1822,8 +1916,14 @@ let prop_local_ids_invisible =
       compare (p, n) (p', n') < 0 && ascending rest
     | _ -> true
   in
+  (* [int_range] shrinks towards 0, below its range: an empty
+     sequence or no threads would then raise instead of reporting the
+     counterexample, so the counts shrink towards 1 *)
+  let at_least_one n =
+    QCheck.(set_print string_of_int (map ~rev:pred succ (int_bound (n - 1))))
+  in
   QCheck.Test.make ~name:"local opcode ids invisible" ~count:25
-    QCheck.(triple small_int (int_range 1 6) (int_range 1 2))
+    QCheck.(triple small_int (at_least_one 6) (at_least_one 2))
     (fun (seed, picks, smt) ->
       let g = Mp_util.Rng.create seed in
       let seq = List.init picks (fun _ -> Mp_util.Rng.choose g candidates) in
@@ -1942,6 +2042,8 @@ let () =
            test_golden_activity;
          Alcotest.test_case "calendar beyond 16k cycles" `Quick
            test_calendar_long_latency;
+         Alcotest.test_case "SMT starvation fails, not hangs" `Quick
+           test_smt_starvation_fails;
          QCheck_alcotest.to_alcotest prop_local_ids_invisible ]);
       ("disk cache",
        [ Alcotest.test_case "round trip" `Quick test_disk_cache_roundtrip;
